@@ -1,6 +1,7 @@
 package wcle_test
 
 import (
+	"runtime"
 	"testing"
 
 	"wcle"
@@ -79,6 +80,39 @@ func BenchmarkElectClique64(b *testing.B) {
 		msgs = res.Metrics.Messages
 	}
 	b.ReportMetric(float64(msgs), "congest-msgs")
+}
+
+// BenchmarkElectFixedRR8 is electbench's sim-rr8 operation as a go
+// benchmark: one gilbertrs18-fixed election (the known-mixing-time, single
+// phase form) on a random 8-regular 64-node graph with walks of 2*tmix.
+// Each id travels alone under the CONGEST cap, so the cost of an election
+// is its message count times the cost of one message; allocs/msg tracks
+// the second factor.
+func BenchmarkElectFixedRR8(b *testing.B) {
+	g, err := wcle.NewRandomRegular(64, 8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof, err := wcle.Profile(g, wcle.SpectralOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := wcle.ProtocolConfig{FixedTu: 2 * prof.Tmix}
+	var msgs int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		rep, err := wcle.Run("gilbertrs18-fixed", g, cfg, wcle.AlgorithmOptions{Seed: int64(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		msgs += rep.Election.Metrics.Messages
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(msgs), "allocs/msg")
 }
 
 // Tracer overhead: the same expander election with no tracer (the nil

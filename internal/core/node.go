@@ -172,8 +172,7 @@ func (nd *node) beginPhase(ctx *sim.Context, p int) {
 	nd.i4max = 0
 	tr := nd.tree(nd.id)
 	if tr == nil {
-		tr = newTree(p, -1, true)
-		nd.insertTree(nd.id, tr)
+		tr = nd.addTree(nd.id, p, -1, true)
 	} else {
 		tr.resetForPhase(p, -1, true)
 	}
@@ -184,7 +183,11 @@ func (nd *node) beginPhase(ctx *sim.Context, p int) {
 	ctx.WakeAt(nd.rt.sched.decides[p])
 }
 
-func (nd *node) insertTree(origin protocol.ID, tr *tree) {
+// addTree creates the walk tree for a newly seen origin, with its merge-slot
+// handle in the node's outbox.
+func (nd *node) addTree(origin protocol.ID, phase, parentPort int, isRoot bool) *tree {
+	tr := newTree(phase, parentPort, isRoot)
+	tr.h = nd.outbox.NewHandle()
 	i := sort.Search(len(nd.origins), func(i int) bool { return nd.origins[i] >= origin })
 	nd.origins = append(nd.origins, 0)
 	copy(nd.origins[i+1:], nd.origins[i:])
@@ -192,6 +195,7 @@ func (nd *node) insertTree(origin protocol.ID, tr *tree) {
 	nd.treev = append(nd.treev, nil)
 	copy(nd.treev[i+1:], nd.treev[i:])
 	nd.treev[i] = tr
+	return tr
 }
 
 // alive reports whether a tree participates in the current protocol state:
@@ -208,9 +212,7 @@ func (nd *node) alive(tr *tree, round int) bool {
 func (nd *node) treeFor(origin protocol.ID, phase, arrivalPort int) *tree {
 	tr := nd.tree(origin)
 	if tr == nil {
-		tr = newTree(phase, arrivalPort, false)
-		nd.insertTree(origin, tr)
-		return tr
+		return nd.addTree(origin, phase, arrivalPort, false)
 	}
 	switch {
 	case tr.phase == phase:
@@ -268,7 +270,7 @@ func (nd *node) sendFinalOwnTree(ctx *sim.Context) {
 	}
 	tr.finalDown = true
 	for _, port := range tr.children {
-		nd.outbox.PushDown(port, nd.id, tr.phase, protocol.DownFinal, nil)
+		nd.outbox.PushDown(port, tr.h, nd.id, tr.phase, protocol.DownFinal, nil)
 	}
 }
 
@@ -340,7 +342,7 @@ func (nd *node) pushUpX1(ctx *sim.Context, origin protocol.ID, tr *tree, ids []p
 		nd.rootConsumeX1(ctx, ids, dDelta, pDelta)
 		return
 	}
-	nd.outbox.PushUp(tr.parentPort, origin, tr.phase, protocol.UpX1, ids, dDelta, pDelta)
+	nd.outbox.PushUp(tr.parentPort, tr.h, origin, tr.phase, protocol.UpX1, ids, dDelta, pDelta)
 }
 
 func (nd *node) pushUpX3(ctx *sim.Context, origin protocol.ID, tr *tree, ids []protocol.ID) {
@@ -352,7 +354,7 @@ func (nd *node) pushUpX3(ctx *sim.Context, origin protocol.ID, tr *tree, ids []p
 		}
 		return
 	}
-	nd.outbox.PushUp(tr.parentPort, origin, tr.phase, protocol.UpX3, ids, 0, 0)
+	nd.outbox.PushUp(tr.parentPort, tr.h, origin, tr.phase, protocol.UpX3, ids, 0, 0)
 }
 
 // rootConsumeX1 folds exchange-round-1 data into the contender's
@@ -399,7 +401,7 @@ func (nd *node) relayDownX2(ctx *sim.Context, origin protocol.ID, tr *tree, ids 
 		return
 	}
 	for _, port := range tr.children {
-		nd.outbox.PushDown(port, origin, tr.phase, protocol.DownX2, fresh)
+		nd.outbox.PushDown(port, tr.h, origin, tr.phase, protocol.DownX2, fresh)
 	}
 	if tr.proxyCount > 0 {
 		nd.storeI2(ctx, tr, fresh)
@@ -453,7 +455,7 @@ func (nd *node) onUp(ctx *sim.Context, m *protocol.UpMsg) {
 			nd.rootWinnerReceipt(ctx, winID)
 			return
 		}
-		nd.outbox.PushUp(tr.parentPort, m.Origin, tr.phase, protocol.UpWinner, m.IDs, 0, 0)
+		nd.outbox.PushUp(tr.parentPort, tr.h, m.Origin, tr.phase, protocol.UpWinner, m.IDs, 0, 0)
 	default:
 		nd.staleDrops++
 	}
@@ -481,7 +483,7 @@ func (nd *node) floodWinnerDown(ctx *sim.Context, origin protocol.ID, tr *tree, 
 	tr.winnerID = winID
 	for _, port := range tr.children {
 		nd.scrOne[0] = winID
-		nd.outbox.PushDown(port, origin, tr.phase, protocol.DownWinner, nd.scrOne[:1])
+		nd.outbox.PushDown(port, tr.h, origin, tr.phase, protocol.DownWinner, nd.scrOne[:1])
 	}
 }
 
@@ -499,7 +501,7 @@ func (nd *node) onDown(ctx *sim.Context, m *protocol.DownMsg) {
 		if !tr.finalDown {
 			tr.finalDown = true
 			for _, port := range tr.children {
-				nd.outbox.PushDown(port, m.Origin, tr.phase, protocol.DownFinal, nil)
+				nd.outbox.PushDown(port, tr.h, m.Origin, tr.phase, protocol.DownFinal, nil)
 			}
 		}
 	case protocol.DownWinner:
@@ -543,7 +545,7 @@ func (nd *node) proxyWinnerReceipt(ctx *sim.Context, winID protocol.ID) {
 			continue
 		}
 		nd.scrOne[0] = winID
-		nd.outbox.PushUp(tr.parentPort, origin, tr.phase, protocol.UpWinner, nd.scrOne[:1], 0, 0)
+		nd.outbox.PushUp(tr.parentPort, tr.h, origin, tr.phase, protocol.UpWinner, nd.scrOne[:1], 0, 0)
 	}
 }
 
@@ -582,15 +584,15 @@ func (nd *node) noteChild(ctx *sim.Context, origin protocol.ID, tr *tree, port i
 	if tr.downX2.Len() > 0 {
 		ids := append(nd.scrChild[:0], tr.downX2.List...)
 		slices.Sort(ids)
-		nd.outbox.PushDown(port, origin, tr.phase, protocol.DownX2, ids)
+		nd.outbox.PushDown(port, tr.h, origin, tr.phase, protocol.DownX2, ids)
 		nd.scrChild = ids[:0]
 	}
 	if tr.finalDown {
-		nd.outbox.PushDown(port, origin, tr.phase, protocol.DownFinal, nil)
+		nd.outbox.PushDown(port, tr.h, origin, tr.phase, protocol.DownFinal, nil)
 	}
 	if tr.winnerDown {
 		nd.scrOne[0] = tr.winnerID
-		nd.outbox.PushDown(port, origin, tr.phase, protocol.DownWinner, nd.scrOne[:1])
+		nd.outbox.PushDown(port, tr.h, origin, tr.phase, protocol.DownWinner, nd.scrOne[:1])
 	}
 }
 

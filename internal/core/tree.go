@@ -13,6 +13,7 @@ import (
 // tokens were forwarded to), the local proxy registration count, and the
 // relay bookkeeping that implements filtering and late-child replication.
 type tree struct {
+	h          protocol.Handle // merge-slot handle in the node's outbox
 	phase      int
 	parentPort int // -1 at the origin (root)
 	isRoot     bool

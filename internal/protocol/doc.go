@@ -6,7 +6,17 @@
 // pieces; duplicate filtering), and the lazy-random-walk token splitting
 // logic.
 //
-// The package also holds the performance substrate of the send hot path:
+// The package also holds the performance substrate of the send hot path.
+// Under the CONGEST cap each id travels alone, so an election's cost is its
+// message count times the cost of one message, and the outbox keeps that
+// second factor small: merge slots are addressed by a per-tree Handle (an
+// index, no hashing), each queued fragment records its own slot, the port
+// and resend FIFOs are rings that reuse their storage under a standing
+// backlog, and a one-id fragment carries its id inline (one allocation, or
+// none from the pool). Per-edge id filtering lives where repeats arise:
+// the outbox filters convergecasts, which reach a node from several
+// children; downcasts need no filter, because the caller's walk tree sends
+// each id to each child once per phase. Beside the outbox sit
 // allocation-lean id sets (FastSet for pure membership, TrackedSet when
 // members are also iterated), per-node message pooling (MsgPool), and the
 // Outbox.Resend redundancy knob for lossy transports — idempotent control

@@ -4,7 +4,7 @@ package protocol
 // separated deliberately:
 //
 //   - FastSet is a tiny open-addressing hash set used for pure membership
-//     filtering (the outbox's per-edge filters, a contender's I2
+//     filtering (the outbox's convergecast filters, a contender's I2
 //     accumulator). It exposes no iteration, so its probe order can never
 //     leak into protocol behavior.
 //   - TrackedSet adds the members in insertion order for sets that are

@@ -55,11 +55,13 @@ type UpMsg struct {
 	Origin ID
 	Phase  int
 	Stage  UpStage
+	slot   Handle // the merge slot it holds open while queued in an Outbox
 	IDs    []ID
 	DDelta int // distinct-proxy count delta (X1 only)
 	PDelta int // proxy count delta (X1 only)
 	Win    ID
 	bits   int
+	one    [1]ID // inline storage for IDs: a CONGEST fragment carries one id
 }
 
 // DownMsg travels from the contender toward its proxies along all child
@@ -68,9 +70,11 @@ type DownMsg struct {
 	Origin ID
 	Phase  int
 	Op     DownOp
+	slot   Handle // as in UpMsg
 	IDs    []ID
 	Win    ID
 	bits   int
+	one    [1]ID // inline storage for IDs, as in UpMsg
 }
 
 func (m *TokenMsg) Bits() int    { return m.bits }

@@ -10,80 +10,30 @@ type tokenKey struct {
 	remaining int
 }
 
-// upSlot / downSlot hold the merge state of one (origin, phase, stage/op)
-// flow on one port: the still-queued message fragments may merge into, and
-// the per-edge filter of ids already queued or sent. Slots live in small
-// arrays indexed by (phase, stage/op) inside a per-origin entry, so the hot
-// path does one fast 64-bit map lookup plus an array index instead of
-// hashing a composite struct key.
+// Handle addresses one walk tree's merge slots in an Outbox. A node takes
+// one per tree from NewHandle when the tree is created (handles are dense:
+// 0, 1, 2, ...) and passes it with every PushUp and PushDown for that tree,
+// so the outbox finds the slots by indexing instead of hashing the origin.
+type Handle int32
+
+// upSlot is the merge state of one tree's convergecast flow for one stage:
+// the still-queued fragment new ids and deltas merge into, and the per-edge
+// filter of ids already queued or sent. Both belong to (phase, port); a
+// push for another phase or port starts them afresh. A tree's convergecast
+// port is its parent port, fixed for a phase, and its phase only grows, so
+// no older flow is ever pushed to again.
 type upSlot struct {
-	cur  *UpMsg
-	sent FastSet
+	cur   *UpMsg
+	phase int32
+	port  int32
+	sent  FastSet
 }
 
-type downSlot struct {
-	cur  *DownMsg
-	sent FastSet
-}
-
-// upState / downState hold one origin's slots on one port as short linear
-// lists: only (phase, stage/op) combinations actually used on this edge get
-// an entry (a handful at a time — the current global phase plus possibly a
-// FINAL-latched one), so lookup is a scan over a few cache-resident
-// entries and memory tracks real traffic, not the phase-space volume.
-type upState struct {
-	phases []int32
-	stages []UpStage
-	slots  []upSlot
-}
-
-func (st *upState) slot(phase int, stage UpStage) *upSlot {
-	for i, p := range st.phases {
-		if p == int32(phase) && st.stages[i] == stage {
-			return &st.slots[i]
-		}
-	}
-	st.phases = append(st.phases, int32(phase))
-	st.stages = append(st.stages, stage)
-	st.slots = append(st.slots, upSlot{})
-	return &st.slots[len(st.slots)-1]
-}
-
-func (st *upState) peek(phase int, stage UpStage) *upSlot {
-	for i, p := range st.phases {
-		if p == int32(phase) && st.stages[i] == stage {
-			return &st.slots[i]
-		}
-	}
-	return nil
-}
-
-type downState struct {
-	phases []int32
-	ops    []DownOp
-	slots  []downSlot
-}
-
-func (st *downState) slot(phase int, op DownOp) *downSlot {
-	for i, p := range st.phases {
-		if p == int32(phase) && st.ops[i] == op {
-			return &st.slots[i]
-		}
-	}
-	st.phases = append(st.phases, int32(phase))
-	st.ops = append(st.ops, op)
-	st.slots = append(st.slots, downSlot{})
-	return &st.slots[len(st.slots)-1]
-}
-
-func (st *downState) peek(phase int, op DownOp) *downSlot {
-	for i, p := range st.phases {
-		if p == int32(phase) && st.ops[i] == op {
-			return &st.slots[i]
-		}
-	}
-	return nil
-}
+// downSlots are one tree's open downcast fragments on one port, indexed by
+// DownOp-1. A fragment stays open while it is queued and belongs to the
+// tree's current phase (its own Phase field). Downcasts need no per-edge
+// filter: the tree sends each id to each child port once per phase.
+type downSlots [3]*DownMsg
 
 // resendRec is one retransmission obligation: a private snapshot of an
 // already-transmitted message plus the number of repeats still owed.
@@ -92,21 +42,49 @@ type resendRec struct {
 	left int
 }
 
-// portQ is a FIFO of queued messages for one port, with per-origin merge
-// state. Slot `cur` pointers always point at messages still in the queue;
-// once a message is sent it can no longer be merged into. The `sent` filter
-// sets implement the paper's per-edge filtering: an id that has been queued
-// (and possibly already transmitted) on this port for a given (origin,
-// phase, stage/op) is never sent again on this port.
+// ring is a FIFO on a power-of-two circular buffer. A standing backlog
+// reuses the slots it frees, and the buffer doubles only when full, so its
+// size stays within twice the peak backlog (and at least 4).
+type ring[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		buf := make([]T, max(4, 2*len(r.buf)))
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// front returns the oldest element; the ring must not be empty.
+func (r *ring[T]) front() *T { return &r.buf[r.head] }
+
+// pop removes and returns the oldest element; the ring must not be empty.
+func (r *ring[T]) pop() T {
+	v := r.buf[r.head]
+	var zero T
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
+}
+
+// portQ is a FIFO of queued messages for one port, with the merge state of
+// the token batches and downcast fragments still queued on it. Merge slots
+// only ever point at messages still in a queue; once a message is sent it
+// can no longer be merged into.
 type portQ struct {
-	q      []sim.Message
-	head   int
+	q      ring[sim.Message]
 	tokens map[tokenKey]*TokenMsg
-	ups    map[ID]*upState
-	downs  map[ID]*downState
+	downs  []downSlots // indexed by Handle, grown on first use
 	// resend is the retransmission FIFO (only used when Outbox.Resend > 0).
-	resend []resendRec
-	rhead  int
+	resend ring[resendRec]
 }
 
 // Outbox implements the paper's per-edge congestion discipline: messages
@@ -118,6 +96,7 @@ type portQ struct {
 type Outbox struct {
 	codec   *Codec
 	ports   []portQ
+	ups     [][3]upSlot // indexed by Handle, then UpStage-1
 	pending int
 	resends int
 
@@ -141,12 +120,18 @@ func NewOutbox(codec *Codec, degree int) *Outbox {
 	return &Outbox{codec: codec, ports: make([]portQ, degree)}
 }
 
+// NewHandle returns the next merge-slot handle.
+func (ob *Outbox) NewHandle() Handle {
+	ob.ups = append(ob.ups, [3]upSlot{})
+	return Handle(len(ob.ups) - 1)
+}
+
 // Pending returns the number of queued, unsent messages across all ports,
 // including pending retransmissions.
 func (ob *Outbox) Pending() int { return ob.pending + ob.resends }
 
 func (pq *portQ) push(ob *Outbox, m sim.Message) {
-	pq.q = append(pq.q, m)
+	pq.q.push(m)
 	ob.pending++
 }
 
@@ -172,28 +157,27 @@ func (ob *Outbox) PushToken(port int, origin ID, phase, remaining, count int) {
 	pq.push(ob, m)
 }
 
-// PushUp enqueues convergecast data: an optional id fragment plus additive
-// deltas. Ids are chunked across messages per the codec's id limit; an id
-// already queued or sent on this port for the same (origin, phase, stage)
-// is filtered out (the paper's per-edge filtering). Deltas merge into the
-// newest queued fragment regardless of its id load, or open a new one.
-func (ob *Outbox) PushUp(port int, origin ID, phase int, stage UpStage, ids []ID, dDelta, pDelta int) {
-	pq := &ob.ports[port]
-	if pq.ups == nil {
-		pq.ups = make(map[ID]*upState)
+// PushUp enqueues convergecast data for the tree with handle h: an optional
+// id fragment plus additive deltas. Ids are chunked across messages per the
+// codec's id limit; an id already queued or sent on this port for the same
+// (origin, phase, stage) is filtered out (the paper's per-edge filtering).
+// Deltas merge into the newest queued fragment regardless of its id load,
+// or open a new one. A tree's convergecasts go to its parent port, one port
+// per phase, and its phase only grows, so h's slots keep the filter and the
+// open fragment of the latest (phase, port) only.
+func (ob *Outbox) PushUp(port int, h Handle, origin ID, phase int, stage UpStage, ids []ID, dDelta, pDelta int) {
+	slot := &ob.ups[h][stage-1]
+	if slot.phase != int32(phase) || slot.port != int32(port) {
+		slot.cur = nil
+		slot.phase, slot.port = int32(phase), int32(port)
+		slot.sent.Reset()
 	}
-	st := pq.ups[origin]
-	if st == nil {
-		st = &upState{}
-		pq.ups[origin] = st
-	}
-	slot := st.slot(phase, stage)
 	fresh := func() *UpMsg {
 		m := ob.Pool.up()
-		m.Origin, m.Phase, m.Stage = origin, phase, stage
+		m.Origin, m.Phase, m.Stage, m.slot = origin, phase, stage, h
 		m.bits = ob.codec.msgBits(0)
 		slot.cur = m
-		pq.push(ob, m)
+		ob.ports[port].push(ob, m)
 		return m
 	}
 	if dDelta != 0 || pDelta != 0 || len(ids) == 0 {
@@ -217,39 +201,35 @@ func (ob *Outbox) PushUp(port int, origin ID, phase int, stage UpStage, ids []ID
 	}
 }
 
-// PushDown enqueues downcast data (I2 fragments, FINAL, winner floods),
-// chunking ids, merging into the open fragment for the same origin, phase
-// and op, and filtering ids already queued or sent on this port.
-func (ob *Outbox) PushDown(port int, origin ID, phase int, op DownOp, ids []ID) {
+// PushDown enqueues downcast data (I2 fragments, FINAL, winner floods) for
+// the tree with handle h, chunking ids and merging into the open fragment
+// for the same phase and op. It does not filter ids: callers push each id
+// to each child port once per (origin, phase, op).
+func (ob *Outbox) PushDown(port int, h Handle, origin ID, phase int, op DownOp, ids []ID) {
 	pq := &ob.ports[port]
-	if pq.downs == nil {
-		pq.downs = make(map[ID]*downState)
+	for int(h) >= len(pq.downs) {
+		pq.downs = append(pq.downs, downSlots{})
 	}
-	st := pq.downs[origin]
-	if st == nil {
-		st = &downState{}
-		pq.downs[origin] = st
+	slot := &pq.downs[h][op-1]
+	if *slot != nil && (*slot).Phase != phase {
+		*slot = nil
 	}
-	slot := st.slot(phase, op)
 	fresh := func() *DownMsg {
 		m := ob.Pool.down()
-		m.Origin, m.Phase, m.Op = origin, phase, op
+		m.Origin, m.Phase, m.Op, m.slot = origin, phase, op, h
 		m.bits = ob.codec.msgBits(0)
-		slot.cur = m
+		*slot = m
 		pq.push(ob, m)
 		return m
 	}
 	if len(ids) == 0 {
-		if slot.cur == nil {
+		if *slot == nil {
 			fresh()
 		}
 		return
 	}
 	for _, id := range ids {
-		if !slot.sent.Add(id) {
-			continue
-		}
-		m := slot.cur
+		m := *slot
 		if m == nil || len(m.IDs) >= ob.codec.MaxIDs {
 			m = fresh()
 		}
@@ -273,20 +253,21 @@ func resendable(m sim.Message) bool {
 
 // snapshot clones a message into an outbox-owned copy for retransmission
 // (the transmitted original is consumed — and possibly recycled — by the
-// receiver).
+// receiver). The copy's ids go into its own storage: the struct copy alone
+// would leave it sharing the original's inline id array.
 func (ob *Outbox) snapshot(m sim.Message) sim.Message {
 	switch t := m.(type) {
 	case *UpMsg:
 		c := ob.Pool.up()
-		ids := append(c.IDs, t.IDs...)
+		ids := c.IDs
 		*c = *t
-		c.IDs = ids
+		c.IDs = append(ids, t.IDs...)
 		return c
 	case *DownMsg:
 		c := ob.Pool.down()
-		ids := append(c.IDs, t.IDs...)
+		ids := c.IDs
 		*c = *t
-		c.IDs = ids
+		c.IDs = append(ids, t.IDs...)
 		return c
 	}
 	return nil
@@ -300,15 +281,13 @@ func (ob *Outbox) snapshot(m sim.Message) sim.Message {
 func (ob *Outbox) Flush(ctx *sim.Context, win ID) error {
 	for port := range ob.ports {
 		pq := &ob.ports[port]
-		if pq.head >= len(pq.q) {
+		if pq.q.n == 0 {
 			if err := ob.flushResend(ctx, port, pq, win); err != nil {
 				return err
 			}
 			continue
 		}
-		msg := pq.q[pq.head]
-		pq.q[pq.head] = nil
-		pq.head++
+		msg := pq.q.pop()
 		ob.pending--
 		switch m := msg.(type) {
 		case *TokenMsg:
@@ -318,26 +297,22 @@ func (ob *Outbox) Flush(ctx *sim.Context, win ID) error {
 			}
 			m.Win = win
 		case *UpMsg:
-			if slot := pq.ups[m.Origin].peek(m.Phase, m.Stage); slot != nil && slot.cur == m {
+			if slot := &ob.ups[m.slot][m.Stage-1]; slot.cur == m {
 				slot.cur = nil
 			}
 			m.Win = win
 		case *DownMsg:
-			if slot := pq.downs[m.Origin].peek(m.Phase, m.Op); slot != nil && slot.cur == m {
-				slot.cur = nil
+			if slot := &pq.downs[m.slot][m.Op-1]; *slot == m {
+				*slot = nil
 			}
 			m.Win = win
 		}
 		if ob.Resend > 0 && resendable(msg) {
-			pq.resend = append(pq.resend, resendRec{msg: ob.snapshot(msg), left: ob.Resend})
+			pq.resend.push(resendRec{msg: ob.snapshot(msg), left: ob.Resend})
 			ob.resends += ob.Resend
 		}
 		if err := ctx.Send(port, msg); err != nil {
 			return err
-		}
-		if pq.head == len(pq.q) {
-			pq.q = pq.q[:0]
-			pq.head = 0
 		}
 	}
 	return nil
@@ -345,22 +320,15 @@ func (ob *Outbox) Flush(ctx *sim.Context, win ID) error {
 
 // flushResend transmits one owed retransmission on an otherwise idle port.
 func (ob *Outbox) flushResend(ctx *sim.Context, port int, pq *portQ, win ID) error {
-	if pq.rhead >= len(pq.resend) {
+	if pq.resend.n == 0 {
 		return nil
 	}
-	rec := &pq.resend[pq.rhead]
 	var out sim.Message
-	if rec.left > 1 {
+	if rec := pq.resend.front(); rec.left > 1 {
 		out = ob.snapshot(rec.msg)
 		rec.left--
 	} else {
-		out = rec.msg
-		rec.msg = nil
-		pq.rhead++
-		if pq.rhead == len(pq.resend) {
-			pq.resend = pq.resend[:0]
-			pq.rhead = 0
-		}
+		out = pq.resend.pop().msg
 	}
 	ob.resends--
 	switch m := out.(type) {

@@ -63,27 +63,44 @@ func (p *MsgPool) token() *TokenMsg {
 	return m
 }
 
-// up pops a recycled convergecast message or allocates a fresh one. The
-// IDs backing array is retained for reuse.
+// up pops a recycled convergecast message or allocates a fresh one. Its
+// IDs start empty on storage the message owns (see ownIDs).
 func (p *MsgPool) up() *UpMsg {
+	var m *UpMsg
 	if p == nil || len(p.ups) == 0 {
-		return &UpMsg{}
+		m = &UpMsg{}
+	} else {
+		m = p.ups[len(p.ups)-1]
+		p.ups = p.ups[:len(p.ups)-1]
 	}
-	m := p.ups[len(p.ups)-1]
-	p.ups = p.ups[:len(p.ups)-1]
-	ids := m.IDs[:0]
-	*m = UpMsg{IDs: ids}
+	ids := m.IDs
+	*m = UpMsg{}
+	m.IDs = ownIDs(ids, &m.one)
 	return m
 }
 
 // down pops a recycled downcast message or allocates a fresh one.
 func (p *MsgPool) down() *DownMsg {
+	var m *DownMsg
 	if p == nil || len(p.downs) == 0 {
-		return &DownMsg{}
+		m = &DownMsg{}
+	} else {
+		m = p.downs[len(p.downs)-1]
+		p.downs = p.downs[:len(p.downs)-1]
 	}
-	m := p.downs[len(p.downs)-1]
-	p.downs = p.downs[:len(p.downs)-1]
-	ids := m.IDs[:0]
-	*m = DownMsg{IDs: ids}
+	ids := m.IDs
+	*m = DownMsg{}
+	m.IDs = ownIDs(ids, &m.one)
 	return m
+}
+
+// ownIDs returns an empty id slice for a message to fill: the heap array it
+// kept from an earlier multi-id fragment, else its inline array, so a
+// one-id fragment costs no allocation beyond the message. A slice with
+// room for one id is never kept: it may be another message's inline array.
+func ownIDs(ids []ID, one *[1]ID) []ID {
+	if cap(ids) > len(one) {
+		return ids[:0]
+	}
+	return one[:0]
 }

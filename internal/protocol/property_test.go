@@ -56,9 +56,10 @@ func simulateUpPush(tb testing.TB, seed int64, codec *Codec, ids []ID, got map[I
 		if !loaded {
 			loaded = true
 			half := len(ids) / 2
-			ob.PushUp(0, 9, 1, UpX1, ids[:half], 1, 0)
-			ob.PushUp(0, 9, 1, UpX1, ids[half:], 0, 1)
-			ob.PushUp(0, 9, 1, UpX1, ids, 0, 0) // duplicates: must be filtered
+			h := ob.NewHandle()
+			ob.PushUp(0, h, 9, 1, UpX1, ids[:half], 1, 0)
+			ob.PushUp(0, h, 9, 1, UpX1, ids[half:], 0, 1)
+			ob.PushUp(0, h, 9, 1, UpX1, ids, 0, 0) // duplicates: must be filtered
 		}
 		if err := ob.Flush(ctx, 0); err != nil {
 			return err

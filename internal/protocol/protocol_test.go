@@ -355,9 +355,10 @@ func TestOutboxUpMergeAndChunk(t *testing.T) {
 		ids[i] = ID(i + 1)
 	}
 	m, got := runOutbox(t, codec, func(ob *Outbox) {
-		ob.PushUp(0, 9, 1, UpX1, ids, 3, 1)
-		ob.PushUp(0, 9, 1, UpX1, nil, 2, 1) // deltas merge into open fragment
-		ob.PushUp(0, 9, 1, UpX1, []ID{1}, 0, 0)
+		h := ob.NewHandle()
+		ob.PushUp(0, h, 9, 1, UpX1, ids, 3, 1)
+		ob.PushUp(0, h, 9, 1, UpX1, nil, 2, 1) // deltas merge into open fragment
+		ob.PushUp(0, h, 9, 1, UpX1, []ID{1}, 0, 0)
 	})
 	// ids need ceil((2k+1)/k) = 3 messages; duplicate id 1 is absorbed.
 	if m.Messages != 3 {
@@ -389,10 +390,14 @@ func TestOutboxDownDedupe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Downcast ids are not filtered here: the walk tree pushes each id to
+	// each child once per phase (TestNoEdgeCarriesAnIDTwice in
+	// internal/core checks that on whole elections).
 	m, got := runOutbox(t, codec, func(ob *Outbox) {
-		ob.PushDown(0, 9, 1, DownFinal, nil)
-		ob.PushDown(0, 9, 1, DownFinal, nil) // dedupes while queued
-		ob.PushDown(0, 9, 1, DownX2, []ID{4, 4, 5})
+		h := ob.NewHandle()
+		ob.PushDown(0, h, 9, 1, DownFinal, nil)
+		ob.PushDown(0, h, 9, 1, DownFinal, nil) // dedupes while queued
+		ob.PushDown(0, h, 9, 1, DownX2, []ID{4, 5})
 	})
 	want := int64(1 + (1+codec.MaxIDs)/codec.MaxIDs) // FINAL + ceil(2/MaxIDs) X2 fragments
 	if m.Messages != want {
@@ -407,7 +412,7 @@ func TestOutboxDownDedupe(t *testing.T) {
 		}
 	}
 	if len(seen) != 2 || seen[4] != 1 || seen[5] != 1 {
-		t.Fatalf("dedupe failed: %v", seen)
+		t.Fatalf("downcast ids = %v, want 4 and 5 once each", seen)
 	}
 }
 
