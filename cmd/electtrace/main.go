@@ -211,20 +211,32 @@ func critical(evs []obs.Ev) error {
 	return nil
 }
 
-// kinds renders the end-of-run message-kind counters and the fault-event
-// tally.
-func kinds(evs []obs.Ev) error {
-	header(evs)
-	kindCount := map[string]int64{}
-	faultCount := map[string]int64{}
+// tally folds a trace's end-of-run message-kind instants and its fault
+// instants into totals by name. A fault instant adds its "count" arg (the
+// sim's per-round drop/delay/mutate tallies) or 1 when it has none (crash
+// instants, and traces that recorded one instant per faulty send).
+func tally(evs []obs.Ev) (kindCount, faultCount map[string]int64) {
+	kindCount, faultCount = map[string]int64{}, map[string]int64{}
 	for _, ev := range evs {
 		switch ev.Cat {
 		case "kind":
 			kindCount[ev.Name] += ev.Args["count"]
 		case "fault":
-			faultCount[ev.Name]++
+			n, ok := ev.Args["count"]
+			if !ok {
+				n = 1
+			}
+			faultCount[ev.Name] += n
 		}
 	}
+	return kindCount, faultCount
+}
+
+// kinds renders the end-of-run message-kind counters and the fault-event
+// tally.
+func kinds(evs []obs.Ev) error {
+	header(evs)
+	kindCount, faultCount := tally(evs)
 	if len(kindCount) == 0 && len(faultCount) == 0 {
 		fmt.Println("no kind or fault events in this trace")
 		return nil

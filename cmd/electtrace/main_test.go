@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"wcle/internal/cluster"
@@ -99,5 +100,50 @@ func TestAnalyzeClusterTrace(t *testing.T) {
 	}
 	if st, err := os.Stat(chrome); err != nil || st.Size() == 0 {
 		t.Fatalf("chrome export empty: %v", err)
+	}
+}
+
+// TestKindsAddsFaultCounts checks the kinds mode's fault totals on a real
+// faulty trace: a cluster election under drops and delays, whose per-round
+// fault instants must add up to the run's dropped and delayed sends.
+// Instants without a count (crashes, and traces that recorded one instant
+// per faulty send) add one each.
+func TestKindsAddsFaultCounts(t *testing.T) {
+	sink := obs.NewRing(1 << 16)
+	lc, err := cluster.StartLocalWith(3, cluster.LocalOptions{TraceSink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	res, err := lc.Elect(cluster.JobSpec{
+		Graph: serve.GraphSpec{Family: "rr", N: 48, D: 8, Seed: 1},
+		Seed:  7,
+		Fault: serve.FaultSpec{Drop: 0.05, DelayMax: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sink.Dropped() != 0 {
+		t.Fatalf("trace sink overwrote %d events", sink.Dropped())
+	}
+	m := res.Outcome.Metrics
+	if m.FaultDrops == 0 || m.Delayed == 0 {
+		t.Fatalf("the fault plane did not act: %d drops, %d delays", m.FaultDrops, m.Delayed)
+	}
+	_, faults := tally(sink.Snapshot())
+	want := map[string]int64{"drop": m.FaultDrops, "delay": m.Delayed}
+	if !reflect.DeepEqual(faults, want) {
+		t.Fatalf("fault totals %v, the run's %v", faults, want)
+	}
+
+	_, faults = tally([]obs.Ev{
+		{Cat: "fault", Name: "drop", Round: 3, Args: map[string]int64{"node": 4, "from": 1}},
+		{Cat: "fault", Name: "drop", Round: 3, Args: map[string]int64{"node": 5, "from": 1}},
+		{Cat: "fault", Name: "crash", Round: 2, Args: map[string]int64{"node": 6, "from": -1}},
+		{Cat: "fault", Name: "delay", Round: 4, Args: map[string]int64{"count": 9}},
+	})
+	want = map[string]int64{"drop": 2, "crash": 1, "delay": 9}
+	if !reflect.DeepEqual(faults, want) {
+		t.Fatalf("fault totals %v, want %v", faults, want)
 	}
 }

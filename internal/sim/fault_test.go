@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wcle/internal/graph"
+	"wcle/internal/obs"
 )
 
 // faultCases enumerates one representative plane per fault family (plus
@@ -191,31 +192,93 @@ func TestCrashSampleSeedDeterministic(t *testing.T) {
 }
 
 // The fault observer sees every drop and delay the metrics count, and one
-// crash event per dead node.
+// crash event per dead node. A tracer on the same run gets the per-send
+// kinds as one fault/<kind> instant per busy round whose counts add up to
+// what the observer saw, and one fault/crash instant per dead node.
 func TestFaultObserverCounts(t *testing.T) {
 	g, err := graph.Clique(8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := &countingFaultObserver{}
+	fo := &countingFaultObserver{}
+	ring := obs.NewRing(1 << 16)
 	m, err := Run(Config{
 		Graph: g, Seed: 2,
 		Fault:         Compose(&Drop{P: 0.3}, &Delay{Max: 2}, &Crash{At: map[int]int{3: 0, 6: 1}}),
-		FaultObserver: obs,
+		FaultObserver: fo,
+		Tracer:        obs.New(ring, 0),
 	}, floodProcs(g.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs.crashes != 2 {
-		t.Fatalf("crash events = %d, want 2", obs.crashes)
+	if fo.crashes != 2 {
+		t.Fatalf("crash events = %d, want 2", fo.crashes)
 	}
-	if obs.delays != m.Delayed {
-		t.Fatalf("delay events = %d, metrics %d", obs.delays, m.Delayed)
+	if fo.delays != m.Delayed {
+		t.Fatalf("delay events = %d, metrics %d", fo.delays, m.Delayed)
 	}
 	// In-transit drop events; crash-delivery drops are only in the metrics.
-	if obs.drops > m.FaultDrops || obs.drops == 0 {
-		t.Fatalf("drop events = %d, metrics %d", obs.drops, m.FaultDrops)
+	if fo.drops > m.FaultDrops || fo.drops == 0 {
+		t.Fatalf("drop events = %d, metrics %d", fo.drops, m.FaultDrops)
 	}
+
+	counts, crashes := traceFaultCounts(t, ring)
+	if counts["drop"] != fo.drops || counts["delay"] != fo.delays {
+		t.Fatalf("traced drop/delay counts %d/%d, observer saw %d/%d", counts["drop"], counts["delay"], fo.drops, fo.delays)
+	}
+	if counts["delay"] != m.Delayed {
+		t.Fatalf("traced delay count %d, metrics %d", counts["delay"], m.Delayed)
+	}
+	if crashes != 2 {
+		t.Fatalf("fault/crash instants = %d, want 2", crashes)
+	}
+
+	// The active adversary's mutations are tallied the same way.
+	ring = obs.NewRing(1 << 16)
+	m, err = Run(Config{
+		Graph: g, Seed: 2,
+		Fault:  &Byzantine{Frac: 0.4},
+		Tracer: obs.New(ring, 0),
+	}, floodProcs(g.N()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, _ = traceFaultCounts(t, ring)
+	if m.Mutated == 0 || counts["mutate"] != m.Mutated {
+		t.Fatalf("traced mutate count %d, metrics %d", counts["mutate"], m.Mutated)
+	}
+}
+
+// traceFaultCounts sums the "count" args of a recorded run's per-send
+// fault instants by kind and counts its crash instants. It fails the test
+// if the ring overflowed or a busy round carries two instants of one
+// per-send kind.
+func traceFaultCounts(t *testing.T, ring *obs.Ring) (counts map[string]int64, crashes int) {
+	t.Helper()
+	if ring.Dropped() != 0 {
+		t.Fatalf("flight ring dropped %d events", ring.Dropped())
+	}
+	type roundKind struct {
+		round int64
+		kind  string
+	}
+	instants := map[roundKind]int{}
+	counts = map[string]int64{}
+	for _, ev := range ring.Snapshot() {
+		if ev.Cat != "fault" {
+			continue
+		}
+		if ev.Name == FaultCrash.String() {
+			crashes++
+			continue
+		}
+		k := roundKind{ev.Round, ev.Name}
+		if instants[k]++; instants[k] > 1 {
+			t.Fatalf("round %d: %d %s instants", ev.Round, instants[k], ev.Name)
+		}
+		counts[ev.Name] += ev.Args["count"]
+	}
+	return counts, crashes
 }
 
 type countingFaultObserver struct {

@@ -122,10 +122,13 @@ type Config struct {
 	FaultObserver FaultObserver
 
 	// Tracer, when non-nil, records per-busy-round compute/flush spans,
-	// fault instants, and (on sharded runs) quiesce-barrier spans.
-	// Strictly observational: it reads the wall clock but never feeds
-	// timing back into scheduling, so a traced run stays byte-identical
-	// to an untraced one at the same seed.
+	// one fault/<kind> instant per busy round that dropped, delayed or
+	// mutated sends (args {"count": n}), one fault/crash instant per
+	// crashed node, and (on sharded runs) quiesce-barrier spans. Per-send
+	// fault detail goes to FaultObserver instead. Strictly observational:
+	// it reads the wall clock but never feeds timing back into
+	// scheduling, so a traced run stays byte-identical to an untraced one
+	// at the same seed.
 	Tracer *obs.Tracer
 }
 
@@ -277,6 +280,9 @@ type Runner struct {
 
 	awake      []int  // reused per-round scratch
 	crashNoted []bool // fault events emitted once per crashed node
+	// faultTally counts this round's per-send fault events by kind for
+	// the tracer (the crash slot stays 0: crashes are traced per node).
+	faultTally [FaultMutate + 1]int64
 
 	metrics Metrics
 	stepErr error
@@ -409,19 +415,38 @@ func (r *Runner) noteCrash(v int) {
 	r.observeFault(FaultEvent{Round: r.round, Kind: FaultCrash, Node: v, From: -1})
 }
 
-// observeFault fans one fault event out to the configured observer and, as
-// an instant event, to the tracer. Fault events are rare relative to sends,
-// so the two nil checks per event are off the hot path.
+// observeFault hands one fault event to the configured observer and
+// accounts it for the tracer. Per-send events (drop, delay, mutate) are
+// not rare — under a delay plane of Max 2, two sends in three are delayed
+// — so the tracer gets only a per-round tally of them (see
+// traceFaultTally); a crash, noted once per node, stays its own instant.
 func (r *Runner) observeFault(ev FaultEvent) {
 	if r.cfg.FaultObserver != nil {
 		r.cfg.FaultObserver.OnFault(ev)
 	}
 	if tr := r.cfg.Tracer; tr.Enabled() {
-		args := map[string]int64{"node": int64(ev.Node), "from": int64(ev.From)}
-		if ev.Delay > 0 {
-			args["delay"] = int64(ev.Delay)
+		if ev.Kind == FaultCrash {
+			tr.Instant("fault", ev.Kind.String(), int64(ev.Round),
+				map[string]int64{"node": int64(ev.Node), "from": int64(ev.From)})
+			return
 		}
-		tr.Instant("fault", ev.Kind.String(), int64(ev.Round), args)
+		r.faultTally[ev.Kind]++
+	}
+}
+
+// traceFaultTally emits the round's per-send fault tallies, one
+// fault/<kind> instant with args {"count": n} per kind that occurred, in
+// FaultKind order, and clears them.
+func (r *Runner) traceFaultTally() {
+	tr := r.cfg.Tracer
+	if !tr.Enabled() {
+		return
+	}
+	for k, n := range r.faultTally {
+		if n > 0 {
+			tr.Instant("fault", FaultKind(k).String(), int64(r.round), map[string]int64{"count": n})
+			r.faultTally[k] = 0
+		}
 	}
 }
 
@@ -507,6 +532,7 @@ func (r *Runner) stepRound() error {
 	}
 	flushSp.Arg("sends", r.metrics.Messages-msgsBefore)
 	flushSp.End()
+	r.traceFaultTally()
 	// A remote send may have failed during dispatch (stepErr is also how
 	// the plane surfaces a broken connection mid-round).
 	return r.stepErr

@@ -4,7 +4,9 @@
 # small election batch over HTTP, require a unique leader in every trial,
 # require a spectral-cache hit on a second job, exercise the per-point
 # "algorithm" field against the floodmax and kpprt backends (plus the
-# per-backend /metrics counters), and exercise graceful SIGTERM shutdown.
+# per-backend /metrics counters), run a job under a delay plane whose
+# trace must stay within 5 events per round, and exercise graceful SIGTERM
+# shutdown.
 # Needs only bash, curl, and grep.
 set -euo pipefail
 
@@ -112,6 +114,25 @@ for alg in floodmax kpprt; do
     || fail "$alg: result does not echo the backend: $status"
   echo "smoke: $alg elected a unique leader in all 6 trials"
 done
+
+echo "smoke: a faulty job (floodmax under delays) traces per round, not per send"
+trace_events() {
+  curl -fsS "$base/metrics" | grep '^electd_trace_events_total ' | awk '{print $2}'
+}
+events_before="$(trace_events)"
+[ -n "$events_before" ] || fail "no electd_trace_events_total in /metrics"
+resp="$(curl -fsS -X POST "$base/v1/elections" \
+  -d '{"seed":7,"points":[{"graph":"k32","trials":6,"algorithm":"floodmax","fault":{"delay_max":2}}]}')" \
+  || fail "faulty submission"
+status="$(wait_done "$(json_field "$resp" id)")"
+echo "$status" | tr -d ' \n' | grep -q '"one":6' \
+  || fail "faulty job: expected 6/6 single-leader trials: $status"
+rounds="$(json_field "$status" rounds)"
+[ -n "$rounds" ] && [ "$rounds" -gt 0 ] || fail "faulty job: no round total in $status"
+events=$(( $(trace_events) - events_before ))
+[ "$events" -le $(( 5 * rounds )) ] \
+  || fail "faulty job: $events trace events over $rounds rounds (want at most 5 per round)"
+echo "smoke: faulty job elected a unique leader in all 6 trials ($events trace events over $rounds rounds)"
 
 echo "smoke: unknown algorithms are rejected at submission"
 code="$(curl -sS -o /dev/null -w '%{http_code}' -X POST "$base/v1/elections" \
