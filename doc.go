@@ -46,8 +46,10 @@
 // including the Byzantine plane, whose forged bytes replay identically on
 // both (ProtocolConfig.Defend wraps any protocol in the committee-sampled
 // validation defense).
-// The election-shaped entry points (Elect, ElectWith, ElectMany,
-// ElectManyWith) remain as deprecated thin wrappers:
+// Every entry point takes the same per-run options (Options,
+// AlgorithmOptions and ProtocolOptions name one type). The
+// election-shaped entry points (Elect, ElectWith, ElectManyWith) remain as
+// deprecated thin wrappers:
 //
 //	out, err := wcle.ElectWith("kpprt", g, wcle.AlgorithmConfig{},
 //	    wcle.AlgorithmOptions{Seed: 7})

@@ -48,7 +48,7 @@ func main() {
 	tracker := lowerbound.NewCGTracker(lb)
 	cfg := core.DefaultConfig()
 	cfg.MaxWalkLen = 64
-	res, err := core.Run(lb.Graph, cfg, core.RunOptions{Seed: 3, Budget: int64(8 / alpha), Observer: tracker})
+	res, err := core.Run(lb.Graph, cfg, wcle.Options{Seed: 3, Budget: int64(8 / alpha), Observer: tracker})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func main() {
 	dcfg.DisableDistinctness = true
 	dcfg.ForcedContenders = contenders
 	bt := lowerbound.NewBridgeTracker(db)
-	dres, err := core.Run(db.Graph, dcfg, core.RunOptions{Seed: 5, Observer: bt})
+	dres, err := core.Run(db.Graph, dcfg, wcle.Options{Seed: 5, Observer: bt})
 	if err != nil {
 		log.Fatal(err)
 	}

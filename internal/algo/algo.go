@@ -1,48 +1,11 @@
 package algo
 
 import (
+	"wcle/internal/engine"
 	"wcle/internal/graph"
-	"wcle/internal/obs"
 	"wcle/internal/protocol"
 	"wcle/internal/sim"
 )
-
-// Options are the backend-independent knobs of one election run. They are
-// the algorithm-agnostic subset of core.RunOptions: every backend maps
-// them onto its own sim.Config the same way, so a fault plane or a budget
-// means the same thing whichever protocol runs.
-type Options struct {
-	// Seed drives all randomness of the run deterministically.
-	Seed int64
-	// Budget, when positive, drops sends beyond the budget (counted in
-	// Metrics.Dropped).
-	Budget int64
-	// MaxRounds overrides the backend's default round cap (0 = backend
-	// default).
-	MaxRounds int
-	// Concurrent selects the goroutine-per-awake-node engine.
-	Concurrent bool
-	// LeanMetrics skips per-kind message accounting on the send hot path.
-	LeanMetrics bool
-	// DebugFrom stamps sender indices on delivered envelopes. Debugging
-	// only: the conformance suite asserts no backend's outcome depends on
-	// it (the model is anonymous).
-	DebugFrom bool
-	// Observer taps every accepted send.
-	Observer sim.Observer
-	// Fault, when non-nil, is the run's delivery-plane adversary.
-	Fault sim.FaultPlane
-	// FaultObserver receives every fault event of the run.
-	FaultObserver sim.FaultObserver
-	// Remote, when non-nil, hosts this run's shard of a distributed
-	// election (sim.Config.Remote): every backend threads it into its
-	// sim configuration unchanged, which is what makes the cluster
-	// runtime backend-agnostic.
-	Remote sim.RemotePlane
-	// Tracer, when non-nil, records the run's spans and instants
-	// (sim.Config.Tracer); strictly observational.
-	Tracer *obs.Tracer
-}
 
 // Outcome is the backend-independent summary every algorithm reports.
 // Backend-specific detail rides along in Detail.
@@ -76,13 +39,13 @@ type Outcome struct {
 
 // Algorithm is one election protocol runnable on the sim delivery planes.
 // Implementations must be pure functions of (graph, options): all
-// randomness flows from Options.Seed through the per-node sim streams, so
-// a run replays byte-identically. Instances are cheap, immutable
-// configuration holders and safe for concurrent use; all per-run state
-// lives inside Run.
+// randomness flows from engine.Options.Seed through the per-node sim
+// streams, so a run replays byte-identically. Instances are cheap,
+// immutable configuration holders and safe for concurrent use; all per-run
+// state lives inside Run.
 type Algorithm interface {
 	// Name returns the backend's registry name.
 	Name() string
 	// Run executes one election on g.
-	Run(g *graph.Graph, opts Options) (*Outcome, error)
+	Run(g *graph.Graph, opts engine.Options) (*Outcome, error)
 }

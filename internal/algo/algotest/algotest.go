@@ -27,6 +27,7 @@ import (
 	"testing"
 
 	"wcle/internal/algo"
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 )
 
@@ -65,14 +66,14 @@ func Graphs(t *testing.T, cfgFor func(name string, g *graph.Graph) algo.Config) 
 // conformance graph. The default target builds the backend and runs it in
 // process; alternative delivery planes (the cluster transport over
 // loopback TCP) substitute their own and get the same invariant battery.
-type Runner func(name string, cfg algo.Config, g *graph.Graph, opts algo.Options) (*algo.Outcome, error)
+type Runner func(name string, cfg algo.Config, g *graph.Graph, opts engine.Options) (*algo.Outcome, error)
 
 // Conformance runs the invariant battery for one backend across the
 // standard graphs, in process. seeds are the asserted election seeds
 // (deterministic: once green, always green).
 func Conformance(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) algo.Config, seeds []int64) {
 	t.Helper()
-	ConformanceOn(t, name, cfgFor, seeds, func(name string, cfg algo.Config, g *graph.Graph, opts algo.Options) (*algo.Outcome, error) {
+	ConformanceOn(t, name, cfgFor, seeds, func(name string, cfg algo.Config, g *graph.Graph, opts engine.Options) (*algo.Outcome, error) {
 		a, err := algo.New(name, cfg)
 		if err != nil {
 			return nil, err
@@ -96,7 +97,7 @@ func ConformanceOn(t *testing.T, name string, cfgFor func(graphName string, g *g
 				t.Fatalf("backend reports name %q, registry says %q", a.Name(), name)
 			}
 			for _, seed := range seeds {
-				opts := algo.Options{Seed: seed}
+				opts := engine.Options{Seed: seed}
 				out, err := run(name, tg.Cfg, tg.G, opts)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
@@ -110,7 +111,7 @@ func ConformanceOn(t *testing.T, name string, cfgFor func(graphName string, g *g
 				}
 				assertSameOutcome(t, seed, "replay", out, replay)
 
-				debug, err := run(name, tg.Cfg, tg.G, algo.Options{Seed: seed, DebugFrom: true})
+				debug, err := run(name, tg.Cfg, tg.G, engine.Options{Seed: seed, DebugFrom: true})
 				if err != nil {
 					t.Fatalf("seed %d debug: %v", seed, err)
 				}

@@ -74,7 +74,7 @@ func ByzantineConformanceOn(t *testing.T, name string, cfgFor func(graphName str
 				t.Run(fc.Name, func(t *testing.T) {
 					var mutated int64
 					for _, seed := range seeds {
-						opts := algo.Options{Seed: seed}
+						opts := engine.Options{Seed: seed}
 						out, err := run(name, tg.Cfg, tg.G, opts, fc.Spec)
 						if err != nil {
 							// A detectable abort is a legitimate Byzantine
@@ -96,7 +96,7 @@ func ByzantineConformanceOn(t *testing.T, name string, cfgFor func(graphName str
 						}
 						assertSameFaultOutcome(t, seed, "replay", out, replay)
 
-						debug, err := run(name, tg.Cfg, tg.G, algo.Options{Seed: seed, DebugFrom: true}, fc.Spec)
+						debug, err := run(name, tg.Cfg, tg.G, engine.Options{Seed: seed, DebugFrom: true}, fc.Spec)
 						if err != nil {
 							t.Fatalf("seed %d debug: %v", seed, err)
 						}
@@ -128,7 +128,7 @@ func ByzantineParityOn(t *testing.T, name string, cfgFor func(graphName string, 
 				fc := fc
 				t.Run(fc.Name, func(t *testing.T) {
 					for _, seed := range seeds {
-						opts := algo.Options{Seed: seed}
+						opts := engine.Options{Seed: seed}
 						want, werr := ref(name, tg.Cfg, tg.G, opts, fc.Spec)
 						got, gerr := under(name, tg.Cfg, tg.G, opts, fc.Spec)
 						if (werr == nil) != (gerr == nil) {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"wcle/internal/algo"
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/serve"
 )
@@ -58,11 +59,11 @@ func FaultGraphs(t *testing.T, cfgFor func(name string, g *graph.Graph) algo.Con
 // conformance graph under the given adversary. The in-process default
 // instantiates fault.Plane(); the cluster transport ships the spec in the
 // JobSpec instead.
-type FaultRunner func(name string, cfg algo.Config, g *graph.Graph, opts algo.Options, fault serve.FaultSpec) (*algo.Outcome, error)
+type FaultRunner func(name string, cfg algo.Config, g *graph.Graph, opts engine.Options, fault serve.FaultSpec) (*algo.Outcome, error)
 
 // InProcessFaultRunner is the reference FaultRunner: build the backend,
 // attach the spec's plane, run in process.
-func InProcessFaultRunner(name string, cfg algo.Config, g *graph.Graph, opts algo.Options, fault serve.FaultSpec) (*algo.Outcome, error) {
+func InProcessFaultRunner(name string, cfg algo.Config, g *graph.Graph, opts engine.Options, fault serve.FaultSpec) (*algo.Outcome, error) {
 	a, err := algo.New(name, cfg)
 	if err != nil {
 		return nil, err
@@ -89,7 +90,7 @@ func FaultConformanceOn(t *testing.T, name string, cfgFor func(graphName string,
 				t.Run(fc.Name, func(t *testing.T) {
 					var drops, delayed int64
 					for _, seed := range seeds {
-						opts := algo.Options{Seed: seed}
+						opts := engine.Options{Seed: seed}
 						out, err := run(name, tg.Cfg, tg.G, opts, fc.Spec)
 						if err != nil {
 							t.Fatalf("seed %d: %v", seed, err)
@@ -104,7 +105,7 @@ func FaultConformanceOn(t *testing.T, name string, cfgFor func(graphName string,
 						}
 						assertSameFaultOutcome(t, seed, "replay", out, replay)
 
-						debug, err := run(name, tg.Cfg, tg.G, algo.Options{Seed: seed, DebugFrom: true}, fc.Spec)
+						debug, err := run(name, tg.Cfg, tg.G, engine.Options{Seed: seed, DebugFrom: true}, fc.Spec)
 						if err != nil {
 							t.Fatalf("seed %d debug: %v", seed, err)
 						}
@@ -138,7 +139,7 @@ func FaultParityOn(t *testing.T, name string, cfgFor func(graphName string, g *g
 				fc := fc
 				t.Run(fc.Name, func(t *testing.T) {
 					for _, seed := range seeds {
-						opts := algo.Options{Seed: seed}
+						opts := engine.Options{Seed: seed}
 						want, err := ref(name, tg.Cfg, tg.G, opts, fc.Spec)
 						if err != nil {
 							t.Fatalf("seed %d reference: %v", seed, err)

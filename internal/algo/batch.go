@@ -1,148 +1,64 @@
 package algo
 
 import (
-	"errors"
-	"time"
-
+	"wcle/internal/engine"
 	"wcle/internal/graph"
-	"wcle/internal/sim"
 )
 
-// BatchOptions parameterizes RunMany: many independent elections of one
-// backend on one graph, sharded across a worker pool. It mirrors
-// core.BatchOptions — including the seed-derivation contract (trial i runs
-// at sim.DeriveSeed(Base.Seed, i)) — so switching a batch between
-// backends never changes which seeds its trials see.
-type BatchOptions struct {
-	// Base is the per-run option template; Base.Seed is the master seed.
-	// Base.Concurrent is ignored: batch elections always use the
-	// sequential engine (one goroutine per shard; see sim.MultiRunner).
-	Base Options
-	// Trials is the number of elections.
-	Trials int
-	// Workers is the shard count (0 = runtime.NumCPU()).
-	Workers int
-	// NewFault, when non-nil, builds trial i's fault plane. Faulty batches
-	// must use it: fault planes are stateful per run, so a single
-	// Base.Fault instance would be shared across concurrent trials and
-	// RunMany rejects it.
-	NewFault func(trial int) sim.FaultPlane
-	// CollectTrials retains the per-trial vectors in the result.
-	CollectTrials bool
-}
-
-// BatchResult aggregates a RunMany batch, mirroring core.BatchResult.
+// BatchResult aggregates a RunMany batch: the engine batch's totals plus
+// the election tallies folded from every trial's Outcome.
 type BatchResult struct {
-	// Algorithm is the backend that ran the batch.
-	Algorithm string
-	Trials    int
+	engine.BatchResult
 
 	// Leader-count outcomes: exactly one, none, more than one.
 	One, Zero, Multi int
-
-	// Totals across trials.
-	Messages   int64
-	Bits       int64
-	FaultDrops int64
-	Delayed    int64
-	Rounds     int64
+	// Contenders totals Outcome.Contenders across trials.
 	Contenders int
-
-	// Wall-clock of the whole batch and the resulting throughput.
-	Elapsed         time.Duration
-	ElectionsPerSec float64
-
-	// Shards is the per-shard aggregation from the worker pool.
-	Shards []sim.ShardStats
 
 	// Per-trial vectors, indexed by trial; populated only when
 	// BatchOptions.CollectTrials is set. TrialOutcomes holds 0 (no
 	// leader), 1 (unique leader), or 2 (multiple leaders).
 	TrialOutcomes   []int8
-	TrialRounds     []int32
-	TrialMessages   []int64
 	TrialContenders []int32
 }
 
-// RunMany executes opts.Trials independent elections of backend a on g
-// across a sharded worker pool. Everything except the wall-clock fields of
-// the result is deterministic in (g, a, opts.Base.Seed, opts.Trials). For
-// the gilbertrs18 backend this is field-for-field the same computation as
-// core.RunMany.
-func RunMany(g *graph.Graph, a Algorithm, opts BatchOptions) (*BatchResult, error) {
-	if opts.Trials <= 0 {
-		return &BatchResult{Algorithm: a.Name()}, nil
-	}
-	if opts.Base.Fault != nil && opts.NewFault == nil {
-		// Fault planes are stateful per run; one instance shared across
-		// shard goroutines would race and break batch determinism.
-		return nil, errors.New("algo: BatchOptions.Base.Fault would be shared across concurrent trials; supply NewFault instead")
-	}
-	outcomes := make([]int8, opts.Trials)
-	rounds := make([]int32, opts.Trials)
-	contenders := make([]int32, opts.Trials)
-	mr := &sim.MultiRunner{Workers: opts.Workers}
-	start := time.Now()
-	metrics, shards, err := mr.RunBatch(opts.Trials, func(i int) (sim.Metrics, error) {
-		o := opts.Base
-		o.Seed = sim.DeriveSeed(opts.Base.Seed, uint64(i))
-		o.Concurrent = false
-		if opts.NewFault != nil {
-			o.Fault = opts.NewFault(i)
-		}
-		res, err := a.Run(g, o)
+// RunMany executes opts.Trials independent elections of backend a (built
+// by New) on g through engine.RunMany, folding each trial's Finish outcome
+// into the election tallies. Everything except the wall-clock fields of
+// the result is deterministic in (g, a, opts.Base.Seed, opts.Trials).
+func RunMany(g *graph.Graph, a Algorithm, opts engine.BatchOptions) (*BatchResult, error) {
+	p := a.(adapter).p
+	outcomes := make([]int8, max(opts.Trials, 0))
+	contenders := make([]int32, len(outcomes))
+	batch, err := engine.RunMany(p, g, opts, func(i int, inst engine.Instance, res *engine.Result) error {
+		// Finish reads only the run's sharding (Remote), which every trial
+		// shares with Base; seeds and fault planes differ per trial.
+		out, err := p.Finish(inst, res, opts.Base)
 		if err != nil {
-			return sim.Metrics{}, err
+			return err
 		}
-		switch len(res.Leaders) {
-		case 0:
-			outcomes[i] = 0
-		case 1:
-			outcomes[i] = 1
-		default:
-			outcomes[i] = 2
-		}
-		rounds[i] = int32(res.Rounds)
-		contenders[i] = int32(res.Contenders)
-		return res.Metrics, nil
+		outcomes[i] = int8(min(len(out.Leaders), 2))
+		contenders[i] = int32(out.Contenders)
+		return nil
 	})
-	elapsed := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
-	out := &BatchResult{
-		Algorithm: a.Name(),
-		Trials:    opts.Trials,
-		Elapsed:   elapsed,
-		Shards:    shards,
-	}
-	if s := elapsed.Seconds(); s > 0 {
-		out.ElectionsPerSec = float64(opts.Trials) / s
-	}
-	for i, m := range metrics {
+	b := &BatchResult{BatchResult: *batch}
+	for i := range outcomes {
 		switch outcomes[i] {
 		case 0:
-			out.Zero++
+			b.Zero++
 		case 1:
-			out.One++
+			b.One++
 		default:
-			out.Multi++
+			b.Multi++
 		}
-		out.Messages += m.Messages
-		out.Bits += m.Bits
-		out.FaultDrops += m.FaultDrops
-		out.Delayed += m.Delayed
-		out.Rounds += int64(rounds[i])
-		out.Contenders += int(contenders[i])
+		b.Contenders += int(contenders[i])
 	}
 	if opts.CollectTrials {
-		out.TrialOutcomes = outcomes
-		out.TrialRounds = rounds
-		out.TrialContenders = contenders
-		out.TrialMessages = make([]int64, opts.Trials)
-		for i, m := range metrics {
-			out.TrialMessages[i] = m.Messages
-		}
+		b.TrialOutcomes = outcomes
+		b.TrialContenders = contenders
 	}
-	return out, nil
+	return b, nil
 }

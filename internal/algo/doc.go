@@ -1,6 +1,7 @@
 // Package algo makes election protocols first-class pluggable backends: a
-// small Algorithm interface, a named registry, and a generic sharded batch
-// runner, so every surface of the repo (the wcle facade, cmd/electsim, the
+// small Algorithm interface, a named registry, and election tallies
+// (one/zero/multi leaders, contenders) folded over engine.RunMany's batch
+// loop, so every surface of the repo (the wcle facade, cmd/electsim, the
 // experiment harness, the electd service, the cluster runtime) compares
 // protocols through one contract instead of hard-wiring the paper's
 // algorithm.
@@ -13,9 +14,8 @@
 // engine's under the protocol contract, so protocol-generic layers (the
 // cluster runtime, cmd/electsim -protocol, the conformance batteries, the
 // E22 experiment) run elections without knowing they are elections.
-// algo.Protocol unwraps an adapter; algo.RunWithReport returns the Outcome
-// together with the engine report (per-node send counts — the currency of
-// the keystone invariant).
+// algo.RunWithReport returns the Outcome together with the engine report
+// (per-node send counts — the currency of the keystone invariant).
 //
 // Four backends ship in the registry:
 //
@@ -36,8 +36,9 @@
 //     Robinson).
 //
 // Contract (see DESIGN.md sections 6 and 8 for the full discussion): a
-// backend receives a port-numbered graph and backend-independent Options
-// (seed, budget, fault plane, observers, LeanMetrics, DebugFrom) and must
+// backend receives a port-numbered graph and the engine's per-run
+// engine.Options (seed, budget, fault plane, observers, LeanMetrics,
+// DebugFrom) and must
 // (1) be a pure function of (graph, options) — all randomness through the
 // per-node sim streams, and send order within a Step deterministic (fault
 // planes are sequence-sensitive), (2) respect the anonymous model — node

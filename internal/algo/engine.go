@@ -1,8 +1,6 @@
 package algo
 
 import (
-	"fmt"
-
 	"wcle/internal/core"
 	"wcle/internal/engine"
 	"wcle/internal/graph"
@@ -18,11 +16,11 @@ import (
 
 // ElectionProtocol is an engine.Protocol that can fold a finished run into
 // an election Outcome. Finish receives the same instance Init produced
-// (type-assert it to reach backend-native state) and the engine-level
-// result of the run.
+// (type-assert it to reach backend-native state), the engine-level result
+// of the run, and the options it ran under.
 type ElectionProtocol interface {
 	engine.Protocol
-	Finish(inst engine.Instance, res *engine.Result, opts Options) (*Outcome, error)
+	Finish(inst engine.Instance, res *engine.Result, opts engine.Options) (*Outcome, error)
 }
 
 // adapter makes an ElectionProtocol satisfy Algorithm.
@@ -32,37 +30,19 @@ type adapter struct {
 
 func (a adapter) Name() string { return a.p.Name() }
 
-func (a adapter) Run(g *graph.Graph, opts Options) (*Outcome, error) {
-	out, _, err := runElection(a.p, g, opts, false)
+func (a adapter) Run(g *graph.Graph, opts engine.Options) (*Outcome, error) {
+	out, _, err := runElection(a.p, g, opts)
 	return out, err
-}
-
-// engineOptions maps the election option set onto the engine's.
-func engineOptions(opts Options, countSends bool) engine.Options {
-	return engine.Options{
-		Seed:          opts.Seed,
-		Budget:        opts.Budget,
-		MaxRounds:     opts.MaxRounds,
-		Concurrent:    opts.Concurrent,
-		LeanMetrics:   opts.LeanMetrics,
-		DebugFrom:     opts.DebugFrom,
-		CountSends:    countSends,
-		Observer:      opts.Observer,
-		Fault:         opts.Fault,
-		FaultObserver: opts.FaultObserver,
-		Remote:        opts.Remote,
-		Tracer:        opts.Tracer,
-	}
 }
 
 // runElection is the one shared election path: Init, the generic engine
 // run, Finish.
-func runElection(p ElectionProtocol, g *graph.Graph, opts Options, countSends bool) (*Outcome, *engine.Result, error) {
+func runElection(p ElectionProtocol, g *graph.Graph, opts engine.Options) (*Outcome, *engine.Result, error) {
 	inst, err := p.Init(g)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := engine.RunInstance(p, g, inst, engineOptions(opts, countSends))
+	res, err := engine.RunInstance(p, g, inst, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -73,26 +53,12 @@ func runElection(p ElectionProtocol, g *graph.Graph, opts Options, countSends bo
 	return out, res, nil
 }
 
-// RunWithReport runs a on g and also returns the engine-level report with
-// per-node send counts — the cluster runtime's path, where the keystone
-// invariant is stated in per-node message counts. Algorithms that are not
-// adapters over an ElectionProtocol still run, with a nil report.
-func RunWithReport(a Algorithm, g *graph.Graph, opts Options) (*Outcome, *engine.Result, error) {
-	if ad, ok := a.(adapter); ok {
-		return runElection(ad.p, g, opts, true)
-	}
-	out, err := a.Run(g, opts)
-	return out, nil, err
-}
-
-// Protocol unwraps a to its ElectionProtocol when a is one of this
-// package's adapters (nil otherwise). The engine registry is fed through
-// this: an election registered there IS the backend, not a copy.
-func Protocol(a Algorithm) ElectionProtocol {
-	if ad, ok := a.(adapter); ok {
-		return ad.p
-	}
-	return nil
+// RunWithReport runs a (built by New) on g with per-node send counting on
+// and also returns the engine-level report — the cluster runtime's path,
+// where the keystone invariant is stated in per-node message counts.
+func RunWithReport(a Algorithm, g *graph.Graph, opts engine.Options) (*Outcome, *engine.Result, error) {
+	opts.CountSends = true
+	return runElection(a.(adapter).p, g, opts)
 }
 
 // configFromEngine maps the engine registry's flat parameter set onto the
@@ -122,25 +88,12 @@ func configFromEngine(e engine.Config) Config {
 	return cfg
 }
 
-// electionBuilder adapts a backend name into an engine registry builder.
-func electionBuilder(name string) engine.Builder {
-	return func(ecfg engine.Config) (engine.Protocol, error) {
-		a, err := New(name, configFromEngine(ecfg))
-		if err != nil {
-			return nil, err
-		}
-		p := Protocol(a)
-		if p == nil {
-			return nil, fmt.Errorf("algo: backend %q is not an engine protocol", name)
-		}
-		return p, nil
-	}
-}
-
 func init() {
 	// Election backends join the generic protocol registry alongside the
-	// engine's own substrates.
-	for _, name := range []string{GilbertRS18, GilbertRS18Fixed, FloodMax, KPPRT} {
-		engine.Register(name, electionBuilder(name))
+	// engine's own substrates, built by the same constructors New wraps.
+	for name, build := range builders {
+		engine.Register(name, func(ecfg engine.Config) (engine.Protocol, error) {
+			return build(configFromEngine(ecfg)), nil
+		})
 	}
 }

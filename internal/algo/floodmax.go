@@ -15,8 +15,8 @@ type floodmax struct {
 	horizon int
 }
 
-func newFloodMax(cfg Config) (Algorithm, error) {
-	return adapter{floodmax{horizon: cfg.Horizon}}, nil
+func newFloodMax(cfg Config) ElectionProtocol {
+	return floodmax{horizon: cfg.Horizon}
 }
 
 func (a floodmax) Name() string { return FloodMax }
@@ -26,11 +26,11 @@ func (a floodmax) Slots() []string { return []string{"leader", "max_seen"} }
 
 // Init implements engine.Protocol.
 func (a floodmax) Init(g *graph.Graph) (engine.Instance, error) {
-	return baseline.Build(g, baseline.Config{Horizon: a.horizon})
+	return baseline.Build(g, a.horizon)
 }
 
 // Finish implements ElectionProtocol.
-func (a floodmax) Finish(inst engine.Instance, eres *engine.Result, opts Options) (*Outcome, error) {
+func (a floodmax) Finish(inst engine.Instance, eres *engine.Result, opts engine.Options) (*Outcome, error) {
 	bi, ok := inst.(*baseline.Instance)
 	if !ok {
 		return nil, fmt.Errorf("algo: floodmax: unexpected instance type %T", inst)

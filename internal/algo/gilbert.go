@@ -26,12 +26,12 @@ type gilbert struct {
 // entirely zero Core section means core.DefaultConfig(); a partially
 // filled one is used as-is, so core's "start from DefaultConfig" C1/C2
 // validation still fails loudly instead of knobs being silently dropped.
-func newGilbertRS18(cfg Config) (Algorithm, error) {
+func newGilbertRS18(cfg Config) ElectionProtocol {
 	c := cfg.Core
 	if reflect.DeepEqual(c, core.Config{}) {
 		c = core.DefaultConfig()
 	}
-	return adapter{gilbert{name: GilbertRS18, cfg: c}}, nil
+	return gilbert{name: GilbertRS18, cfg: c}
 }
 
 // newGilbertRS18Fixed builds the known-tmix baseline: the same core
@@ -39,12 +39,12 @@ func newGilbertRS18(cfg Config) (Algorithm, error) {
 // the walk length; otherwise it resolves to 4n at Init (graphs mixing
 // slower than that — cycles — need an explicit value, exactly as
 // gilbertrs18 needs MaxWalkLen raised there).
-func newGilbertRS18Fixed(cfg Config) (Algorithm, error) {
+func newGilbertRS18Fixed(cfg Config) ElectionProtocol {
 	c := cfg.Core
 	if reflect.DeepEqual(c, core.Config{}) {
 		c = core.DefaultConfig()
 	}
-	return adapter{gilbert{name: GilbertRS18Fixed, cfg: c, fixedAuto: c.FixedWalkLen <= 0}}, nil
+	return gilbert{name: GilbertRS18Fixed, cfg: c, fixedAuto: c.FixedWalkLen <= 0}
 }
 
 func (a gilbert) Name() string { return a.name }
@@ -62,7 +62,7 @@ func (a gilbert) Init(g *graph.Graph) (engine.Instance, error) {
 }
 
 // Finish implements ElectionProtocol.
-func (a gilbert) Finish(inst engine.Instance, eres *engine.Result, opts Options) (*Outcome, error) {
+func (a gilbert) Finish(inst engine.Instance, eres *engine.Result, opts engine.Options) (*Outcome, error) {
 	ci, ok := inst.(*core.Instance)
 	if !ok {
 		return nil, fmt.Errorf("algo: %s: unexpected instance type %T", a.name, inst)

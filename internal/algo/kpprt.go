@@ -470,8 +470,8 @@ type sublinear struct {
 	cfg SublinearConfig
 }
 
-func newSublinear(cfg Config) (Algorithm, error) {
-	return adapter{sublinear{cfg: cfg.Sublinear}}, nil
+func newSublinear(cfg Config) ElectionProtocol {
+	return sublinear{cfg: cfg.Sublinear}
 }
 
 func (a sublinear) Name() string { return KPPRT }
@@ -510,7 +510,7 @@ func (a sublinear) Init(g *graph.Graph) (engine.Instance, error) {
 }
 
 // Finish implements ElectionProtocol.
-func (a sublinear) Finish(inst engine.Instance, eres *engine.Result, opts Options) (*Outcome, error) {
+func (a sublinear) Finish(inst engine.Instance, eres *engine.Result, opts engine.Options) (*Outcome, error) {
 	ki, ok := inst.(*kInstance)
 	if !ok {
 		return nil, fmt.Errorf("algo: kpprt: unexpected instance type %T", inst)

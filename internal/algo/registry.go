@@ -3,7 +3,6 @@ package algo
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"wcle/internal/core"
 )
@@ -41,43 +40,23 @@ type Config struct {
 	Sublinear SublinearConfig
 }
 
-// Builder constructs a configured instance of one backend.
-type Builder func(cfg Config) (Algorithm, error)
-
-var (
-	regMu    sync.RWMutex
-	builders = map[string]Builder{
-		GilbertRS18:      newGilbertRS18,
-		GilbertRS18Fixed: newGilbertRS18Fixed,
-		FloodMax:         newFloodMax,
-		KPPRT:            newSublinear,
-	}
-)
-
-// Register adds (or replaces) a backend builder under name. The built-in
-// names are registered at init; future protocols (async model, population
-// protocols) plug in here.
-func Register(name string, b Builder) {
-	if name == "" || b == nil {
-		panic("algo: Register needs a name and a builder")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	builders[name] = b
+// builders holds the built-in backends, each an ElectionProtocol that New
+// wraps as an Algorithm and init registers in the engine registry.
+var builders = map[string]func(cfg Config) ElectionProtocol{
+	GilbertRS18:      newGilbertRS18,
+	GilbertRS18Fixed: newGilbertRS18Fixed,
+	FloodMax:         newFloodMax,
+	KPPRT:            newSublinear,
 }
 
 // Known reports whether name is a registered backend.
 func Known(name string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	_, ok := builders[name]
 	return ok
 }
 
 // Names lists the registered backends, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	out := make([]string, 0, len(builders))
 	for name := range builders {
 		out = append(out, name)
@@ -97,11 +76,9 @@ func Resolve(name string) string {
 // New builds a configured instance of the named backend ("" = default).
 func New(name string, cfg Config) (Algorithm, error) {
 	name = Resolve(name)
-	regMu.RLock()
 	b, ok := builders[name]
-	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("algo: unknown algorithm %q (known: %v)", name, Names())
 	}
-	return b(cfg)
+	return adapter{b(cfg)}, nil
 }

@@ -3,10 +3,12 @@ package algo_test
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wcle/internal/algo"
 	"wcle/internal/core"
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/sim"
 )
@@ -52,7 +54,7 @@ func TestGilbertPartialConfigErrsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Run(g, algo.Options{Seed: 1}); err == nil {
+	if _, err := a.Run(g, engine.Options{Seed: 1}); err == nil {
 		t.Fatal("partial Core config must error, not silently default")
 	}
 }
@@ -69,11 +71,11 @@ func TestGilbertBackendMatchesCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 3; seed++ {
-		out, err := a.Run(g, algo.Options{Seed: seed})
+		out, err := a.Run(g, engine.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.Run(g, core.DefaultConfig(), core.RunOptions{Seed: seed})
+		want, err := core.Run(g, core.DefaultConfig(), engine.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,10 +91,11 @@ func TestGilbertBackendMatchesCore(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesCoreRunMany pins the generic batch runner against
-// core.RunMany for the default backend: same seeds, same aggregation,
-// field for field.
-func TestBatchMatchesCoreRunMany(t *testing.T) {
+// TestBatchMatchesCoreRun pins the one batch loop against core.Run: trial
+// i of a gilbertrs18 batch is the election core.Run holds at
+// sim.DeriveSeed(seed, i) — same leader count, rounds, messages and
+// contenders — and the batch totals are those elections summed.
+func TestBatchMatchesCoreRun(t *testing.T) {
 	g, err := graph.RandomRegular(48, 8, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
@@ -101,60 +104,109 @@ func TestBatchMatchesCoreRunMany(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := algo.RunMany(g, a, algo.BatchOptions{
-		Base: algo.Options{Seed: 42, LeanMetrics: true}, Trials: 6, Workers: 3, CollectTrials: true,
+	const seed, trials = 42, 6
+	got, err := algo.RunMany(g, a, engine.BatchOptions{
+		Base: engine.Options{Seed: seed, LeanMetrics: true}, Trials: trials, Workers: 3, CollectTrials: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.RunMany(g, core.DefaultConfig(), core.BatchOptions{
-		Base: core.RunOptions{Seed: 42, LeanMetrics: true}, Trials: 6, Workers: 3, CollectTrials: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	var bits int64
+	for i := 0; i < trials; i++ {
+		want, err := core.Run(g, core.DefaultConfig(), engine.Options{Seed: sim.DeriveSeed(seed, uint64(i)), LeanMetrics: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits += want.Metrics.Bits
+		if int(got.TrialOutcomes[i]) != min(len(want.Leaders), 2) ||
+			int(got.TrialRounds[i]) != want.Rounds ||
+			got.TrialMessages[i] != want.Metrics.Messages ||
+			int(got.TrialContenders[i]) != len(want.Contenders) {
+			t.Fatalf("trial %d diverged from core.Run: outcome %d rounds %d msgs %d contenders %d; want leaders %v rounds %d msgs %d contenders %d",
+				i, got.TrialOutcomes[i], got.TrialRounds[i], got.TrialMessages[i], got.TrialContenders[i],
+				want.Leaders, want.Rounds, want.Metrics.Messages, len(want.Contenders))
+		}
 	}
-	if got.One != want.One || got.Zero != want.Zero || got.Multi != want.Multi ||
-		got.Messages != want.Messages || got.Bits != want.Bits ||
-		got.Rounds != want.Rounds || got.Contenders != want.Contenders ||
-		!reflect.DeepEqual(got.TrialMessages, want.TrialMessages) ||
-		!reflect.DeepEqual(got.TrialRounds, want.TrialRounds) ||
-		!reflect.DeepEqual(got.TrialOutcomes, want.TrialOutcomes) {
-		t.Fatalf("batch diverged:\n algo: %+v\n core: %+v", got, want)
+	if got.Bits != bits {
+		t.Fatalf("batch bits %d, core.Run elections sum to %d", got.Bits, bits)
 	}
 }
 
-// TestBatchWorkerCountInvariance: a batch's deterministic fields cannot
-// depend on the shard count, whatever the backend.
+// TestBatchWorkerCountInvariance checks the batch contract on every
+// backend: the per-trial vectors sum to the batch totals, sharding does
+// not change what any trial saw, and the vectors stay nil unless
+// CollectTrials asks for them.
 func TestBatchWorkerCountInvariance(t *testing.T) {
-	g, err := graph.Clique(32, nil)
+	g, err := graph.Clique(16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{algo.FloodMax, algo.KPPRT} {
-		a, err := algo.New(name, algo.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		one, err := algo.RunMany(g, a, algo.BatchOptions{
-			Base: algo.Options{Seed: 9}, Trials: 8, Workers: 1, CollectTrials: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		four, err := algo.RunMany(g, a, algo.BatchOptions{
-			Base: algo.Options{Seed: 9}, Trials: 8, Workers: 4, CollectTrials: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(one.TrialMessages, four.TrialMessages) ||
-			!reflect.DeepEqual(one.TrialOutcomes, four.TrialOutcomes) ||
-			one.One != four.One {
-			t.Fatalf("%s: worker count changed the batch", name)
-		}
+	const trials = 6
+	for _, name := range []string{algo.GilbertRS18, algo.GilbertRS18Fixed, algo.FloodMax, algo.KPPRT} {
+		t.Run(name, func(t *testing.T) {
+			a, err := algo.New(name, algo.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(workers int, collect bool) *algo.BatchResult {
+				res, err := algo.RunMany(g, a, engine.BatchOptions{
+					Base: engine.Options{Seed: 9, LeanMetrics: true}, Trials: trials, Workers: workers, CollectTrials: collect})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			res := run(3, true)
+			if res.Protocol != name || res.Trials != trials {
+				t.Fatalf("batch labelled %q with %d trials", res.Protocol, res.Trials)
+			}
+			if len(res.TrialOutcomes) != trials || len(res.TrialRounds) != trials ||
+				len(res.TrialMessages) != trials || len(res.TrialContenders) != trials {
+				t.Fatalf("per-trial vectors not collected: %+v", res)
+			}
+			var msgs, rounds int64
+			var one, zero, multi, cont int
+			for i := 0; i < trials; i++ {
+				switch res.TrialOutcomes[i] {
+				case 0:
+					zero++
+				case 1:
+					one++
+				default:
+					multi++
+				}
+				msgs += res.TrialMessages[i]
+				rounds += int64(res.TrialRounds[i])
+				cont += int(res.TrialContenders[i])
+			}
+			if one != res.One || zero != res.Zero || multi != res.Multi {
+				t.Fatalf("outcome vector disagrees with totals: %+v", res)
+			}
+			if msgs != res.Messages || rounds != res.Rounds || cont != res.Contenders {
+				t.Fatalf("per-trial sums disagree with totals: %+v", res)
+			}
+			other := run(1, true)
+			if !reflect.DeepEqual(res.TrialOutcomes, other.TrialOutcomes) ||
+				!reflect.DeepEqual(res.TrialRounds, other.TrialRounds) ||
+				!reflect.DeepEqual(res.TrialMessages, other.TrialMessages) ||
+				!reflect.DeepEqual(res.TrialContenders, other.TrialContenders) {
+				t.Fatal("worker count changed the trials")
+			}
+			plain := run(3, false)
+			if plain.TrialOutcomes != nil || plain.TrialRounds != nil ||
+				plain.TrialMessages != nil || plain.TrialContenders != nil {
+				t.Fatalf("per-trial vectors should be nil without CollectTrials: %+v", plain)
+			}
+			if plain.One != res.One || plain.Messages != res.Messages {
+				t.Fatal("CollectTrials changed the totals")
+			}
+		})
 	}
 }
 
-// TestBatchRejectsSharedFault mirrors core.RunMany's guard: a stateful
-// fault plane shared across shards is a determinism bug.
+// TestBatchRejectsSharedFault pins the batch loop's guard: a stateful
+// fault plane shared across shards is a determinism bug, so Base.Fault is
+// refused with a pointer to NewFault, which builds one plane per trial.
 func TestBatchRejectsSharedFault(t *testing.T) {
 	g, err := graph.Clique(8, nil)
 	if err != nil {
@@ -164,17 +216,21 @@ func TestBatchRejectsSharedFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = algo.RunMany(g, a, algo.BatchOptions{
-		Base: algo.Options{Seed: 1, Fault: &sim.Drop{P: 0.1}}, Trials: 4})
-	if err == nil {
-		t.Fatal("shared Base.Fault must be rejected")
+	_, err = algo.RunMany(g, a, engine.BatchOptions{
+		Base: engine.Options{Seed: 1, Fault: &sim.Drop{P: 0.1}}, Trials: 4})
+	if err == nil || !strings.Contains(err.Error(), "NewFault") {
+		t.Fatalf("shared Base.Fault not rejected: %v", err)
 	}
-	if _, err := algo.RunMany(g, a, algo.BatchOptions{
-		Base:     algo.Options{Seed: 1},
+	res, err := algo.RunMany(g, a, engine.BatchOptions{
+		Base:     engine.Options{Seed: 1},
 		Trials:   4,
 		NewFault: func(int) sim.FaultPlane { return &sim.Drop{P: 0.1} },
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Trials != 4 || res.One+res.Zero+res.Multi != 4 {
+		t.Fatalf("batch outcome inconsistent: %+v", res)
 	}
 }
 
@@ -192,7 +248,7 @@ func TestKPPRTSublinearOnCliques(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := a.Run(g, algo.Options{Seed: 4})
+		out, err := a.Run(g, engine.Options{Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,7 @@
 // (Envelope.From stays -1 unless sim.Config.DebugFrom is set, and the
 // regression tests here pin that toggling the debug flag cannot change a
 // run). The package exposes two entry points: the historical FloodMax
-// convenience wrapper, and the generalized Run that threads the full
-// delivery-plane option set (faults, budgets, observers) so the algorithm
-// can serve as a first-class backend in internal/algo.
+// convenience wrapper, and the generalized Run that takes the full run
+// option set (engine.Options: faults, budgets, observers); internal/algo
+// runs the same Instance as a first-class backend.
 package baseline

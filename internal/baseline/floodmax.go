@@ -5,7 +5,6 @@ import (
 
 	"wcle/internal/engine"
 	"wcle/internal/graph"
-	"wcle/internal/obs"
 	"wcle/internal/protocol"
 	"wcle/internal/sim"
 )
@@ -105,39 +104,6 @@ type FloodMaxResult struct {
 	Metrics sim.Metrics
 }
 
-// Config parameterizes a generalized FloodMax run. The zero value plus a
-// seed is the classical setting: horizon n, perfect delivery.
-type Config struct {
-	// Seed drives all randomness (id draws) deterministically.
-	Seed int64
-	// Horizon is the number of rounds before nodes decide; 0 means n
-	// (always >= diameter + 1).
-	Horizon int
-	// Budget, when positive, drops sends beyond the budget (sim semantics).
-	Budget int64
-	// MaxRounds overrides the round cap (0 = Horizon + 8).
-	MaxRounds int
-	// Concurrent selects the goroutine-based engine.
-	Concurrent bool
-	// LeanMetrics skips per-kind message accounting on the send hot path.
-	LeanMetrics bool
-	// DebugFrom stamps sender indices on envelopes (debugging only; the
-	// regression tests assert the run is unchanged by it).
-	DebugFrom bool
-	// Observer taps every accepted send.
-	Observer sim.Observer
-	// Fault, when non-nil, is the run's delivery-plane adversary.
-	Fault sim.FaultPlane
-	// FaultObserver receives every fault event of the run.
-	FaultObserver sim.FaultObserver
-	// Remote, when non-nil, hosts this run's shard of a distributed
-	// election (sim.Config.Remote; see internal/cluster).
-	Remote sim.RemotePlane
-	// Tracer, when non-nil, records the run's spans and instants
-	// (sim.Config.Tracer); strictly observational.
-	Tracer *obs.Tracer
-}
-
 // Instance is one run's worth of FloodMax node machines. It implements
 // engine.Instance; Collect folds the post-run state into FloodMaxResult.
 type Instance struct {
@@ -146,17 +112,12 @@ type Instance struct {
 	lim     engine.Limits
 }
 
-// Build constructs the per-node machines of one FloodMax run on g. Only
-// cfg.Horizon and cfg.MaxRounds matter at build time; the delivery-plane
-// fields of cfg belong to the runner.
-func Build(g *graph.Graph, cfg Config) (*Instance, error) {
-	horizon := cfg.Horizon
+// Build constructs the per-node machines of one FloodMax run on g.
+// horizon is the number of rounds before nodes decide; 0 means n (always
+// >= diameter + 1). The default round cap is horizon + 8.
+func Build(g *graph.Graph, horizon int) (*Instance, error) {
 	if horizon <= 0 {
 		horizon = g.N()
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = horizon + 8
 	}
 	sizing, err := protocol.NewSizing(g.N())
 	if err != nil {
@@ -169,7 +130,7 @@ func Build(g *graph.Graph, cfg Config) (*Instance, error) {
 	return &Instance{
 		nodes:   nodes,
 		horizon: horizon,
-		lim:     engine.Limits{MaxMessageBits: sizing.CongestCap(), MaxRounds: maxRounds},
+		lim:     engine.Limits{MaxMessageBits: sizing.CongestCap(), MaxRounds: horizon + 8},
 	}, nil
 }
 
@@ -222,39 +183,22 @@ func (i *Instance) Collect(metrics sim.Metrics, sharded bool) *FloodMaxResult {
 	return res
 }
 
-// Run executes FloodMax on g under the full delivery-plane option set.
-func Run(g *graph.Graph, cfg Config) (*FloodMaxResult, error) {
-	inst, err := Build(g, cfg)
+// Run executes FloodMax on g under the full run option set: Build,
+// engine.Simulate, Collect.
+func Run(g *graph.Graph, horizon int, opts engine.Options) (*FloodMaxResult, error) {
+	inst, err := Build(g, horizon)
 	if err != nil {
 		return nil, err
 	}
-	procs := make([]sim.Process, len(inst.nodes))
-	for v, nd := range inst.nodes {
-		procs[v] = nd
-	}
-	metrics, err := sim.Run(sim.Config{
-		Graph:          g,
-		Seed:           cfg.Seed,
-		MaxMessageBits: inst.lim.MaxMessageBits,
-		MaxRounds:      inst.lim.MaxRounds,
-		MessageBudget:  cfg.Budget,
-		Concurrent:     cfg.Concurrent,
-		LeanMetrics:    cfg.LeanMetrics,
-		DebugFrom:      cfg.DebugFrom,
-		Observer:       cfg.Observer,
-		Fault:          cfg.Fault,
-		FaultObserver:  cfg.FaultObserver,
-		Remote:         cfg.Remote,
-		Tracer:         cfg.Tracer,
-	}, procs)
+	metrics, _, err := engine.Simulate(g, inst, opts)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: floodmax failed: %w", err)
 	}
-	return inst.Collect(metrics, cfg.Remote != nil), nil
+	return inst.Collect(metrics, opts.Remote != nil), nil
 }
 
 // FloodMax runs the baseline on g. horizon is the number of rounds before
 // nodes decide; 0 means n (always >= diameter + 1).
 func FloodMax(g *graph.Graph, seed int64, horizon int) (*FloodMaxResult, error) {
-	return Run(g, Config{Seed: seed, Horizon: horizon})
+	return Run(g, horizon, engine.Options{Seed: seed})
 }

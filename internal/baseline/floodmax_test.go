@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/sim"
 )
@@ -84,11 +85,11 @@ func TestFloodMaxAnonymityRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 3; seed++ {
-		anon, err := Run(g, Config{Seed: seed})
+		anon, err := Run(g, 0, engine.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		debug, err := Run(g, Config{Seed: seed, DebugFrom: true})
+		debug, err := Run(g, 0, engine.Options{Seed: seed, DebugFrom: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func TestFloodMaxUnderDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, Config{Seed: 5, Fault: &sim.Drop{P: 0.2}})
+	res, err := Run(g, 0, engine.Options{Seed: 5, Fault: &sim.Drop{P: 0.2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"wcle/internal/algo"
+	"wcle/internal/engine"
 	"wcle/internal/serve"
 )
 
@@ -104,8 +105,8 @@ func TestBarrierModesFaultParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := &nodeCounter{counts: make([]int64, g.N())}
-	want, err := a.Run(g, algo.Options{Seed: spec.Seed, Fault: fault.Plane(), Observer: counter})
+	counter := &engine.SendCounter{Counts: make([]int64, g.N())}
+	want, err := a.Run(g, engine.Options{Seed: spec.Seed, Fault: fault.Plane(), Observer: counter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +132,9 @@ func TestBarrierModesFaultParity(t *testing.T) {
 			if got.Outcome.Metrics.FaultDrops != want.Metrics.FaultDrops {
 				t.Errorf("fault drops %d, want %d", got.Outcome.Metrics.FaultDrops, want.Metrics.FaultDrops)
 			}
-			for v := range counter.counts {
-				if got.PerNodeMessages[v] != counter.counts[v] {
-					t.Fatalf("node %d sent %d on the cluster, %d in process", v, got.PerNodeMessages[v], counter.counts[v])
+			for v := range counter.Counts {
+				if got.PerNodeMessages[v] != counter.Counts[v] {
+					t.Fatalf("node %d sent %d on the cluster, %d in process", v, got.PerNodeMessages[v], counter.Counts[v])
 				}
 			}
 		})

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"wcle/internal/algo"
+	"wcle/internal/engine"
 	"wcle/internal/serve"
 )
 
@@ -23,12 +24,12 @@ func electInProcess(t *testing.T, spec JobSpec) (*algo.Outcome, []int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := &nodeCounter{counts: make([]int64, g.N())}
-	out, err := a.Run(g, algo.Options{Seed: spec.Seed, DebugFrom: spec.DebugFrom, Observer: counter})
+	counter := &engine.SendCounter{Counts: make([]int64, g.N())}
+	out, err := a.Run(g, engine.Options{Seed: spec.Seed, DebugFrom: spec.DebugFrom, Observer: counter})
 	if err != nil {
 		t.Fatalf("in-process %s: %v", a.Name(), err)
 	}
-	return out, counter.counts
+	return out, counter.Counts
 }
 
 // TestClusterMatchesInProcessSim is the keystone invariant of the cluster

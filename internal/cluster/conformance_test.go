@@ -13,6 +13,7 @@ import (
 	"wcle/internal/algo"
 	"wcle/internal/algo/algotest"
 	"wcle/internal/core"
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/serve"
 )
@@ -31,7 +32,7 @@ func explicitSpec(g *graph.Graph) serve.GraphSpec {
 }
 
 // clusterSpec maps the conformance-relevant backend knobs onto a JobSpec.
-func clusterSpec(name string, cfg algo.Config, g *graph.Graph, opts algo.Options) JobSpec {
+func clusterSpec(name string, cfg algo.Config, g *graph.Graph, opts engine.Options) JobSpec {
 	spec := JobSpec{
 		Graph:     explicitSpec(g),
 		Algorithm: name,
@@ -54,7 +55,7 @@ func clusterSpec(name string, cfg algo.Config, g *graph.Graph, opts algo.Options
 
 // clusterRunner adapts a Local cluster to the algotest Runner contract.
 func clusterRunner(local *Local) algotest.Runner {
-	return func(name string, cfg algo.Config, g *graph.Graph, opts algo.Options) (*algo.Outcome, error) {
+	return func(name string, cfg algo.Config, g *graph.Graph, opts engine.Options) (*algo.Outcome, error) {
 		res, err := local.Elect(clusterSpec(name, cfg, g, opts))
 		if err != nil {
 			return nil, err
@@ -66,7 +67,7 @@ func clusterRunner(local *Local) algotest.Runner {
 // clusterFaultRunner is the FaultRunner analogue: the adversary ships in
 // the JobSpec and every shard rebuilds it locally, sender-keyed.
 func clusterFaultRunner(local *Local) algotest.FaultRunner {
-	return func(name string, cfg algo.Config, g *graph.Graph, opts algo.Options, fault serve.FaultSpec) (*algo.Outcome, error) {
+	return func(name string, cfg algo.Config, g *graph.Graph, opts engine.Options, fault serve.FaultSpec) (*algo.Outcome, error) {
 		spec := clusterSpec(name, cfg, g, opts)
 		spec.Fault = fault
 		res, err := local.Elect(spec)
@@ -159,7 +160,7 @@ func faultCfg(name string, g *graph.Graph) algo.Config { return algo.Config{} }
 // explicitFaultRunner is the parity reference: the in-process sim over
 // the same explicit-edge rebuild the cluster performs, so both sides see
 // the identical port numbering.
-func explicitFaultRunner(name string, cfg algo.Config, g *graph.Graph, opts algo.Options, fault serve.FaultSpec) (*algo.Outcome, error) {
+func explicitFaultRunner(name string, cfg algo.Config, g *graph.Graph, opts engine.Options, fault serve.FaultSpec) (*algo.Outcome, error) {
 	ge, err := explicitSpec(g).Build()
 	if err != nil {
 		return nil, err

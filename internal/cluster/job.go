@@ -134,21 +134,24 @@ func (s JobSpec) backend() (algo.Algorithm, error) {
 // additionally returns the Outcome. Resolving before the plane exists
 // keeps a bad spec from ever touching the barrier.
 func (s JobSpec) runner() (func(g *graph.Graph, pl *plane, tr *obs.Tracer) (*algo.Outcome, *engine.Result, error), error) {
+	opts := func(pl *plane, tr *obs.Tracer) engine.Options {
+		return engine.Options{
+			Seed:       s.Seed,
+			MaxRounds:  s.MaxRounds,
+			DebugFrom:  s.DebugFrom,
+			CountSends: true,
+			Fault:      s.Fault.Plane(),
+			Remote:     pl,
+			Tracer:     tr,
+		}
+	}
 	if s.Protocol != "" {
 		p, err := engine.New(s.Protocol, s.Engine)
 		if err != nil {
 			return nil, err
 		}
 		return func(g *graph.Graph, pl *plane, tr *obs.Tracer) (*algo.Outcome, *engine.Result, error) {
-			res, err := engine.Run(p, g, engine.Options{
-				Seed:       s.Seed,
-				MaxRounds:  s.MaxRounds,
-				DebugFrom:  s.DebugFrom,
-				CountSends: true,
-				Fault:      s.Fault.Plane(),
-				Remote:     pl,
-				Tracer:     tr,
-			})
+			res, err := engine.Run(p, g, opts(pl, tr))
 			return nil, res, err
 		}, nil
 	}
@@ -157,27 +160,7 @@ func (s JobSpec) runner() (func(g *graph.Graph, pl *plane, tr *obs.Tracer) (*alg
 		return nil, err
 	}
 	return func(g *graph.Graph, pl *plane, tr *obs.Tracer) (*algo.Outcome, *engine.Result, error) {
-		opts := algo.Options{
-			Seed:      s.Seed,
-			MaxRounds: s.MaxRounds,
-			DebugFrom: s.DebugFrom,
-			Fault:     s.Fault.Plane(),
-			Remote:    pl,
-			Tracer:    tr,
-		}
-		var counter *nodeCounter
-		if algo.Protocol(a) == nil {
-			// A backend registered outside the engine contract yields no
-			// report; tap its sends the old way so per-node accounting
-			// survives.
-			counter = &nodeCounter{counts: make([]int64, g.N())}
-			opts.Observer = counter
-		}
-		out, eres, err := algo.RunWithReport(a, g, opts)
-		if err == nil && eres == nil {
-			eres = &engine.Result{PerNodeMessages: counter.counts}
-		}
-		return out, eres, err
+		return algo.RunWithReport(a, g, opts(pl, tr))
 	}, nil
 }
 
@@ -238,15 +221,6 @@ type partialResult struct {
 	NodeMessages []int64 `json:"node_messages"`
 
 	Wire WireStats `json:"wire"`
-}
-
-// nodeCounter tallies per-node sends through the observer tap.
-type nodeCounter struct {
-	counts []int64
-}
-
-func (c *nodeCounter) OnSend(round, from, fromPort, to, toPort int, m sim.Message) {
-	c.counts[from]++
 }
 
 // runShard executes one shard's slice of a job. It always returns a

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wcle/internal/algo"
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/serve"
 	"wcle/internal/sim"
@@ -123,7 +124,7 @@ func TestSupervisionReelectsAfterCrash(t *testing.T) {
 	if second.Attempts != 1 || second.Seed != sim.DeriveSeed(spec.Seed, second.Epoch) {
 		t.Fatalf("deterministic backend needed %d attempts, reign seed %d", second.Attempts, second.Seed)
 	}
-	ref, err := a.Run(gi, algo.Options{Seed: second.Seed})
+	ref, err := a.Run(gi, engine.Options{Seed: second.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}

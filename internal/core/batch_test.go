@@ -1,30 +1,39 @@
-package core
+package core_test
 
 import (
 	"strings"
 	"testing"
 
+	"wcle/internal/algo"
+	"wcle/internal/core"
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/sim"
 )
 
-// A shared stateful fault plane across concurrent trials would race;
-// RunMany must refuse it and point at NewFault.
+// TestRunManyRejectsSharedFault pins the shared-fault guard for batches of
+// the paper's election: a Base.Fault shared across shard goroutines is
+// refused with a pointer to NewFault, and the same plane built per trial
+// through NewFault runs and tallies every trial's outcome.
 func TestRunManyRejectsSharedFault(t *testing.T) {
 	g, err := graph.Clique(8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunMany(g, DefaultConfig(), BatchOptions{
-		Base:   RunOptions{Seed: 1, Fault: &sim.Drop{P: 0.1}},
+	a, err := algo.New(algo.GilbertRS18, algo.Config{Core: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = algo.RunMany(g, a, engine.BatchOptions{
+		Base:   engine.Options{Seed: 1, Fault: &sim.Drop{P: 0.1}},
 		Trials: 2,
 	})
 	if err == nil || !strings.Contains(err.Error(), "NewFault") {
 		t.Fatalf("shared Base.Fault not rejected: %v", err)
 	}
 	// The same plane through NewFault (fresh instance per trial) is fine.
-	res, err := RunMany(g, DefaultConfig(), BatchOptions{
-		Base:     RunOptions{Seed: 1, LeanMetrics: true},
+	res, err := algo.RunMany(g, a, engine.BatchOptions{
+		Base:     engine.Options{Seed: 1, LeanMetrics: true},
 		Trials:   2,
 		NewFault: func(int) sim.FaultPlane { return &sim.Drop{P: 0.1} },
 	})
@@ -33,67 +42,5 @@ func TestRunManyRejectsSharedFault(t *testing.T) {
 	}
 	if res.Trials != 2 || res.One+res.Zero+res.Multi != 2 {
 		t.Fatalf("batch outcome inconsistent: %+v", res)
-	}
-}
-
-// CollectTrials must expose per-trial vectors that are consistent with the
-// batch totals and independent of the worker count.
-func TestRunManyCollectTrials(t *testing.T) {
-	g, err := graph.Clique(12, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(workers int) *BatchResult {
-		res, err := RunMany(g, DefaultConfig(), BatchOptions{
-			Base:          RunOptions{Seed: 7, LeanMetrics: true},
-			Trials:        6,
-			Workers:       workers,
-			CollectTrials: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	res := run(3)
-	if len(res.TrialOutcomes) != 6 || len(res.TrialRounds) != 6 ||
-		len(res.TrialMessages) != 6 || len(res.TrialContenders) != 6 {
-		t.Fatalf("per-trial vectors not collected: %+v", res)
-	}
-	var msgs, rounds int64
-	var one, zero, multi, cont int
-	for i := range res.TrialOutcomes {
-		switch res.TrialOutcomes[i] {
-		case 0:
-			zero++
-		case 1:
-			one++
-		default:
-			multi++
-		}
-		msgs += res.TrialMessages[i]
-		rounds += int64(res.TrialRounds[i])
-		cont += int(res.TrialContenders[i])
-	}
-	if one != res.One || zero != res.Zero || multi != res.Multi {
-		t.Fatalf("outcome vector disagrees with totals: %+v", res)
-	}
-	if msgs != res.Messages || rounds != res.Rounds || cont != res.Contenders {
-		t.Fatalf("per-trial sums disagree with totals: %+v", res)
-	}
-	// Sharding must not change what each trial saw.
-	other := run(1)
-	for i := range res.TrialOutcomes {
-		if res.TrialOutcomes[i] != other.TrialOutcomes[i] ||
-			res.TrialRounds[i] != other.TrialRounds[i] ||
-			res.TrialMessages[i] != other.TrialMessages[i] {
-			t.Fatalf("trial %d differs across worker counts", i)
-		}
-	}
-	// Off by default.
-	if plain, err := RunMany(g, DefaultConfig(), BatchOptions{
-		Base: RunOptions{Seed: 7, LeanMetrics: true}, Trials: 2,
-	}); err != nil || plain.TrialOutcomes != nil {
-		t.Fatalf("per-trial vectors should be nil without CollectTrials (%v)", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/protocol"
 	"wcle/internal/sim"
@@ -27,7 +28,7 @@ func TestWinnerSuppressionAcrossPhases(t *testing.T) {
 	cfg.ForcedIDs = map[int]protocol.ID{0: 10, 1: 20, 12: 900, 13: 800}
 	cfg.MaxWalkLen = 512
 	for seed := int64(0); seed < 5; seed++ {
-		res, err := Run(g, cfg, RunOptions{Seed: seed})
+		res, err := Run(g, cfg, engine.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func TestSuppressedContenderStillCountsForOthers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, DefaultConfig(), RunOptions{Seed: 4})
+	res, err := Run(g, DefaultConfig(), engine.Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestAssumedNSmallerThanGraph(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.AssumedN = 16
-	res, err := Run(g, cfg, RunOptions{Seed: 1})
+	res, err := Run(g, cfg, engine.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestTinyNetworks(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.MaxWalkLen = 8
-		res, err := Run(g, cfg, RunOptions{Seed: int64(n)})
+		res, err := Run(g, cfg, engine.Options{Seed: int64(n)})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -138,7 +139,7 @@ func TestPropertyNeverTwoLeaders(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.MaxWalkLen = 64 // bound runtime; failures are acceptable, dual leaders are not
-		res, err := Run(g, cfg, RunOptions{Seed: seedRaw ^ 0x5a5a})
+		res, err := Run(g, cfg, engine.Options{Seed: seedRaw ^ 0x5a5a})
 		if err != nil {
 			return false
 		}
@@ -157,7 +158,7 @@ func TestStaleDropsAreRare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, DefaultConfig(), RunOptions{Seed: 2})
+	res, err := Run(g, DefaultConfig(), engine.Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestBudgetObserverConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := &countObs{}
-	res, err := Run(g, DefaultConfig(), RunOptions{Seed: 5, Budget: 500, Observer: obs})
+	res, err := Run(g, DefaultConfig(), engine.Options{Seed: 5, Budget: 500, Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestForcedIDCollision(t *testing.T) {
 	cfg := lowThreshold()
 	cfg.ForcedContenders = []int{2, 7}
 	cfg.ForcedIDs = map[int]protocol.ID{2: 500, 7: 500}
-	res, err := Run(g, cfg, RunOptions{Seed: 9})
+	res, err := Run(g, cfg, engine.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestFixedModeSkipsGuessing(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.FixedWalkLen = 20
-	res, err := Run(g, cfg, RunOptions{Seed: 3})
+	res, err := Run(g, cfg, engine.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/protocol"
 	"wcle/internal/sim"
@@ -46,7 +47,7 @@ func TestCongestDisciplineFullRun(t *testing.T) {
 		auditor := &congestAuditor{cap: codec.Cap(), seen: make(map[[3]int]struct{})}
 		cfg := DefaultConfig()
 		cfg.Mode = mode
-		res, err := Run(g, cfg, RunOptions{Seed: 6, Observer: auditor})
+		res, err := Run(g, cfg, engine.Options{Seed: 6, Observer: auditor})
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -69,7 +70,7 @@ func TestBitAccountingScalesWithMode(t *testing.T) {
 	run := func(mode protocol.Mode) *Result {
 		cfg := DefaultConfig()
 		cfg.Mode = mode
-		res, err := Run(g, cfg, RunOptions{Seed: 8})
+		res, err := Run(g, cfg, engine.Options{Seed: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 )
 
@@ -30,7 +31,7 @@ func TestTokenConservation(t *testing.T) {
 	}
 	for _, g := range graphs {
 		for seed := int64(0); seed < 3; seed++ {
-			res, err := Run(g, DefaultConfig(), RunOptions{Seed: seed})
+			res, err := Run(g, DefaultConfig(), engine.Options{Seed: seed})
 			if err != nil {
 				t.Fatalf("%s: %v", g.Name(), err)
 			}
@@ -52,7 +53,7 @@ func TestDistinctnessAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, DefaultConfig(), RunOptions{Seed: 5})
+	res, err := Run(g, DefaultConfig(), engine.Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestConservationUnderBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, DefaultConfig(), RunOptions{Seed: 5, Budget: 2000})
+	res, err := Run(g, DefaultConfig(), engine.Options{Seed: 5, Budget: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/protocol"
 	"wcle/internal/spectral"
@@ -40,7 +41,7 @@ func TestForcedTwoContendersMaxIDWins(t *testing.T) {
 	cfg := lowThreshold()
 	cfg.ForcedContenders = []int{3, 9}
 	cfg.ForcedIDs = map[int]protocol.ID{3: 100, 9: 200}
-	res, err := Run(g, cfg, RunOptions{Seed: 5})
+	res, err := Run(g, cfg, engine.Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestForcedContendersAcrossSeeds(t *testing.T) {
 		cfg := lowThreshold()
 		cfg.ForcedContenders = []int{1, 7, 20}
 		cfg.ForcedIDs = map[int]protocol.ID{1: 10, 7: 30, 20: 20}
-		res, err := Run(g, cfg, RunOptions{Seed: seed})
+		res, err := Run(g, cfg, engine.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func TestSingleContenderCannotSatisfyIntersection(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ForcedContenders = []int{4}
 	cfg.MaxWalkLen = 8 // keep the run short
-	res, err := Run(g, cfg, RunOptions{Seed: 2})
+	res, err := Run(g, cfg, engine.Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestNoContenders(t *testing.T) {
 	g := clique(t, 8)
 	cfg := DefaultConfig()
 	cfg.ForcedContenders = []int{} // non-nil empty: nobody runs
-	res, err := Run(g, cfg, RunOptions{Seed: 1})
+	res, err := Run(g, cfg, engine.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestAtMostOneLeaderInvariant(t *testing.T) {
 	}
 	for _, g := range graphs {
 		for seed := int64(0); seed < 6; seed++ {
-			res, err := Run(g, DefaultConfig(), RunOptions{Seed: seed})
+			res, err := Run(g, DefaultConfig(), engine.Options{Seed: seed})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", g.Name(), seed, err)
 			}
@@ -150,7 +151,7 @@ func TestUniqueLeaderSuccessRate(t *testing.T) {
 	wins := 0
 	trials := 10
 	for seed := int64(0); seed < int64(trials); seed++ {
-		res, err := Run(g, DefaultConfig(), RunOptions{Seed: seed})
+		res, err := Run(g, DefaultConfig(), engine.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,11 +166,11 @@ func TestUniqueLeaderSuccessRate(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	g := expander(t, 48, 4, 21)
-	r1, err := Run(g, DefaultConfig(), RunOptions{Seed: 33})
+	r1, err := Run(g, DefaultConfig(), engine.Options{Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(g, DefaultConfig(), RunOptions{Seed: 33})
+	r2, err := Run(g, DefaultConfig(), engine.Options{Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +185,11 @@ func TestDeterministicReplay(t *testing.T) {
 
 func TestConcurrentEngineEquivalence(t *testing.T) {
 	g := expander(t, 48, 4, 22)
-	seq, err := Run(g, DefaultConfig(), RunOptions{Seed: 44})
+	seq, err := Run(g, DefaultConfig(), engine.Options{Seed: 44})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(g, DefaultConfig(), RunOptions{Seed: 44, Concurrent: true})
+	par, err := Run(g, DefaultConfig(), engine.Options{Seed: 44, Concurrent: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestKnownTmixBaseline(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.FixedWalkLen = 2 * tmix
-	res, err := Run(g, cfg, RunOptions{Seed: 6})
+	res, err := Run(g, cfg, engine.Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestGuessDoubleTracksMixing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, DefaultConfig(), RunOptions{Seed: 8})
+	res, err := Run(g, DefaultConfig(), engine.Options{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,13 +255,13 @@ func TestLargeMessageModeUsesFewerMessages(t *testing.T) {
 	// Lemma 12: with O(log^3 n) message sizes the count drops (id sets are
 	// not chunked).
 	g := expander(t, 64, 6, 13)
-	congest, err := Run(g, DefaultConfig(), RunOptions{Seed: 10})
+	congest, err := Run(g, DefaultConfig(), engine.Options{Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgL := DefaultConfig()
 	cfgL.Mode = protocol.ModeLarge
-	large, err := Run(g, cfgL, RunOptions{Seed: 10})
+	large, err := Run(g, cfgL, engine.Options{Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestLargeMessageModeUsesFewerMessages(t *testing.T) {
 func TestBudgetedRunCannotElect(t *testing.T) {
 	// With a trivial budget no information flows: nobody should elect.
 	g := clique(t, 32)
-	res, err := Run(g, DefaultConfig(), RunOptions{Seed: 3, Budget: 10})
+	res, err := Run(g, DefaultConfig(), engine.Options{Seed: 3, Budget: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestAblationsRun(t *testing.T) {
 	} {
 		cfg := DefaultConfig()
 		mod(&cfg)
-		res, err := Run(g, cfg, RunOptions{Seed: 4})
+		res, err := Run(g, cfg, engine.Options{Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +309,7 @@ func TestAblationsRun(t *testing.T) {
 
 func TestContenderAccounting(t *testing.T) {
 	g := expander(t, 64, 6, 31)
-	res, err := Run(g, DefaultConfig(), RunOptions{Seed: 12})
+	res, err := Run(g, DefaultConfig(), engine.Options{Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestContenderAccounting(t *testing.T) {
 
 func TestMessageKindsPresent(t *testing.T) {
 	g := clique(t, 24)
-	res, err := Run(g, DefaultConfig(), RunOptions{Seed: 9})
+	res, err := Run(g, DefaultConfig(), engine.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +361,7 @@ func TestMessageKindsPresent(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	g := clique(t, 8)
-	if _, err := Run(g, Config{}, RunOptions{}); err == nil {
+	if _, err := Run(g, Config{}, engine.Options{}); err == nil {
 		t.Fatal("zero config must be rejected")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/protocol"
 	"wcle/internal/sim"
@@ -96,7 +97,7 @@ func TestNoEdgeCarriesAnIDTwice(t *testing.T) {
 				cfg.FixedWalkLen = gc.fixed
 				cfg.Mode = c.mode
 				o := &edgeIDObserver{seen: make(map[flowID]struct{})}
-				res, err := Run(gc.g, cfg, RunOptions{Seed: 7, Observer: o, Fault: c.fault(), LeanMetrics: true})
+				res, err := Run(gc.g, cfg, engine.Options{Seed: 7, Observer: o, Fault: c.fault(), LeanMetrics: true})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 )
 
@@ -17,7 +18,7 @@ func TestPhaseObserverAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, cfg, RunOptions{Seed: 3, Observer: obs})
+	res, err := Run(g, cfg, engine.Options{Seed: 3, Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestPhaseObserverEmptyRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(g, cfg, RunOptions{Seed: 1, Observer: obs}); err != nil {
+	if _, err := Run(g, cfg, engine.Options{Seed: 1, Observer: obs}); err != nil {
 		t.Fatal(err)
 	}
 	if obs.Total() != 0 || obs.UsedPhases() != 0 {

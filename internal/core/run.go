@@ -5,46 +5,9 @@ import (
 
 	"wcle/internal/engine"
 	"wcle/internal/graph"
-	"wcle/internal/obs"
 	"wcle/internal/protocol"
 	"wcle/internal/sim"
 )
-
-// RunOptions are the simulation-level knobs of one election run.
-type RunOptions struct {
-	// Seed drives all randomness (node ids, contender coins, walks).
-	Seed int64
-	// Budget, when positive, drops messages beyond the budget (the
-	// lower-bound experiments of Section 4).
-	Budget int64
-	// Concurrent selects the goroutine-based engine.
-	Concurrent bool
-	// Observer taps every accepted send.
-	Observer sim.Observer
-	// LeanMetrics skips per-kind message accounting on the simulator's
-	// send hot path (Result.Metrics.ByKind stays empty). Bulk experiment
-	// trials enable it; use a trace.KindCounter observer when per-kind
-	// counts are still wanted.
-	LeanMetrics bool
-	// MaxRounds overrides the default round cap (0 = derived from the
-	// schedule).
-	MaxRounds int
-	// Fault, when non-nil, is the run's adversary (drops, delays, crashes;
-	// see sim.FaultPlane). nil means perfect delivery.
-	Fault sim.FaultPlane
-	// FaultObserver, when non-nil, receives every fault event of the run.
-	FaultObserver sim.FaultObserver
-	// DebugFrom stamps sender indices on delivered envelopes
-	// (sim.Config.DebugFrom). Debugging only: the model is anonymous, and
-	// the algotest conformance suite asserts runs are unchanged by it.
-	DebugFrom bool
-	// Remote, when non-nil, hosts this run's shard of a distributed
-	// election (sim.Config.Remote; see internal/cluster).
-	Remote sim.RemotePlane
-	// Tracer, when non-nil, records the run's spans and instants
-	// (sim.Config.Tracer); strictly observational.
-	Tracer *obs.Tracer
-}
 
 // Result summarizes one election run.
 type Result struct {
@@ -137,37 +100,14 @@ func (i *Instance) Collect(metrics sim.Metrics) *Result {
 }
 
 // Run executes one election of the paper's algorithm (or the known-tmix
-// baseline when cfg.FixedWalkLen is set) on g.
-func Run(g *graph.Graph, cfg Config, opts RunOptions) (*Result, error) {
+// baseline when cfg.FixedWalkLen is set) on g: Build, engine.Simulate,
+// Collect.
+func Run(g *graph.Graph, cfg Config, opts engine.Options) (*Result, error) {
 	inst, err := Build(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	procs := make([]sim.Process, len(inst.nodes))
-	for v, nd := range inst.nodes {
-		procs[v] = nd
-	}
-	lim := inst.Limits()
-	maxRounds := opts.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = lim.MaxRounds
-	}
-	simCfg := sim.Config{
-		Graph:          g,
-		Seed:           opts.Seed,
-		MaxRounds:      maxRounds,
-		MaxMessageBits: lim.MaxMessageBits,
-		MessageBudget:  opts.Budget,
-		Concurrent:     opts.Concurrent,
-		LeanMetrics:    opts.LeanMetrics,
-		DebugFrom:      opts.DebugFrom,
-		Fault:          opts.Fault,
-		Observer:       opts.Observer,
-		FaultObserver:  opts.FaultObserver,
-		Remote:         opts.Remote,
-		Tracer:         opts.Tracer,
-	}
-	metrics, err := sim.Run(simCfg, procs)
+	metrics, _, err := engine.Simulate(g, inst, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: election run failed: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 )
 
@@ -20,7 +21,7 @@ func TestSmokeScale(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := time.Now()
-		res, err := Run(g, DefaultConfig(), RunOptions{Seed: 3})
+		res, err := Run(g, DefaultConfig(), engine.Options{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 )
 
@@ -13,7 +14,7 @@ func TestSmokeClique(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, DefaultConfig(), RunOptions{Seed: 1})
+	res, err := Run(g, DefaultConfig(), engine.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 )
 
@@ -65,7 +66,7 @@ func TestSoakNeverTwoLeaders(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := Run(g, c.cfg(), RunOptions{Seed: seed * 31})
+				res, err := Run(g, c.cfg(), engine.Options{Seed: seed * 31})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/spectral"
 )
@@ -23,7 +24,7 @@ func TestTorusElection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(g, DefaultConfig(), RunOptions{Seed: 3})
+		res, err := Run(g, DefaultConfig(), engine.Options{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

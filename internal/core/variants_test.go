@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/sim"
 )
@@ -29,7 +30,7 @@ func TestLogBase2(t *testing.T) {
 	if p2.InterThreshold <= pe.InterThreshold || p2.Walks <= pe.Walks {
 		t.Fatalf("base-2 thresholds should exceed base-e: %+v vs %+v", p2, pe)
 	}
-	res, err := Run(g, cfg, RunOptions{Seed: 3})
+	res, err := Run(g, cfg, engine.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestTightScheduleStillSafe(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TMult = 0.25 // far below the paper's (25/16) c1
 	for seed := int64(0); seed < 4; seed++ {
-		res, err := Run(g, cfg, RunOptions{Seed: seed})
+		res, err := Run(g, cfg, engine.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func TestMaxRoundsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(g, DefaultConfig(), RunOptions{Seed: 1, MaxRounds: 3})
+	_, err = Run(g, DefaultConfig(), engine.Options{Seed: 1, MaxRounds: 3})
 	if !errors.Is(err, sim.ErrMaxRounds) {
 		t.Fatalf("want ErrMaxRounds, got %v", err)
 	}
@@ -94,7 +95,7 @@ func TestLargerC2MoreWalks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, cfg, RunOptions{Seed: 2})
+	res, err := Run(g, cfg, engine.Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestMixedOutcomesTerminate(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.MaxWalkLen = 32 // barbell mixing exceeds this: failures expected
-	res, err := Run(g, cfg, RunOptions{Seed: 7})
+	res, err := Run(g, cfg, engine.Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

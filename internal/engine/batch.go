@@ -9,10 +9,9 @@ import (
 )
 
 // BatchOptions parameterizes RunMany: many independent runs of one
-// protocol on one graph, sharded across a worker pool. It mirrors
-// algo.BatchOptions — including the seed-derivation contract (trial i runs
-// at sim.DeriveSeed(Base.Seed, i)) — so switching a batch between
-// protocols never changes which seeds its trials see.
+// protocol on one graph, sharded across a worker pool. Trial i runs at
+// sim.DeriveSeed(Base.Seed, i), so switching a batch between protocols
+// never changes which seeds its trials see.
 type BatchOptions struct {
 	// Base is the per-run option template; Base.Seed is the master seed.
 	// Base.Concurrent is ignored: batch runs always use the sequential
@@ -27,7 +26,10 @@ type BatchOptions struct {
 	// Base.Fault instance would be shared across concurrent trials and
 	// RunMany rejects it.
 	NewFault func(trial int) sim.FaultPlane
-	// CollectTrials retains the per-trial vectors in the result.
+	// CollectTrials retains the per-trial vectors (rounds, messages) in
+	// the result so callers can compute distributional summaries instead
+	// of settling for batch totals. Off by default: bulk sweeps that only
+	// need totals skip the extra retention.
 	CollectTrials bool
 }
 
@@ -58,9 +60,13 @@ type BatchResult struct {
 }
 
 // RunMany executes opts.Trials independent runs of p on g across a sharded
-// worker pool. Everything except the wall-clock fields of the result is
-// deterministic in (p, g, opts.Base.Seed, opts.Trials).
-func RunMany(p Protocol, g *graph.Graph, opts BatchOptions) (*BatchResult, error) {
+// worker pool, the one batch loop of the repo. fold, when non-nil, receives
+// trial i's instance and result once the trial has run (internal/algo
+// tallies election outcomes through it). It is called from the shard
+// goroutine that ran the trial, so it must only write state indexed by i;
+// an error aborts the batch. Everything except the wall-clock fields of
+// the result is deterministic in (p, g, opts.Base.Seed, opts.Trials).
+func RunMany(p Protocol, g *graph.Graph, opts BatchOptions, fold func(i int, inst Instance, res *Result) error) (*BatchResult, error) {
 	if opts.Trials <= 0 {
 		return &BatchResult{Protocol: p.Name()}, nil
 	}
@@ -79,9 +85,18 @@ func RunMany(p Protocol, g *graph.Graph, opts BatchOptions) (*BatchResult, error
 		if opts.NewFault != nil {
 			o.Fault = opts.NewFault(i)
 		}
-		res, err := Run(p, g, o)
+		inst, err := p.Init(g)
 		if err != nil {
 			return sim.Metrics{}, err
+		}
+		res, err := RunInstance(p, g, inst, o)
+		if err != nil {
+			return sim.Metrics{}, err
+		}
+		if fold != nil {
+			if err := fold(i, inst, res); err != nil {
+				return sim.Metrics{}, err
+			}
 		}
 		rounds[i] = int32(res.Rounds)
 		return res.Metrics, nil

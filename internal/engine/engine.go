@@ -68,10 +68,11 @@ type Protocol interface {
 	Init(g *graph.Graph) (Instance, error)
 }
 
-// Options are the protocol-independent knobs of one run. They are the
-// engine-level superset of algo.Options: every layer (sim, cluster,
-// algotest, experiments) maps onto the same sim.Config the same way, so a
-// fault plane or a budget means the same thing whichever protocol runs.
+// Options are the protocol-independent knobs of one run, and the only
+// per-run option set in the repo: every layer (core, baseline, algo, the
+// cluster, serve, experiments, the facade) passes them through unchanged
+// to Simulate, the one place they become a sim.Config, so a fault plane or
+// a budget means the same thing whichever protocol runs.
 type Options struct {
 	// Seed drives all randomness of the run deterministically.
 	Seed int64
@@ -82,13 +83,15 @@ type Options struct {
 	MaxRounds int
 	// Concurrent selects the goroutine-per-awake-node engine.
 	Concurrent bool
-	// LeanMetrics skips per-kind message accounting on the send hot path.
+	// LeanMetrics skips per-kind message accounting on the send hot path
+	// (Metrics.ByKind stays empty; a trace.KindCounter observer still
+	// counts kinds). Bulk experiment trials enable it.
 	LeanMetrics bool
 	// DebugFrom stamps sender indices on delivered envelopes (debugging
 	// only; the conformance battery asserts outcomes never depend on it).
 	DebugFrom bool
-	// CountSends tallies per-node send counts into Result.PerNodeMessages.
-	// Opt-in: the counter taps every send, and bulk in-process runs don't
+	// CountSends tallies per-node send counts into Result.PerNodeMessages
+	// (Simulate's second result). Opt-in: the counter taps every send, and bulk in-process runs don't
 	// want the overhead. The cluster runtime always enables it — per-node
 	// counts are what the keystone invariant is stated in terms of.
 	CountSends bool
@@ -166,39 +169,87 @@ func Run(p Protocol, g *graph.Graph, opts Options) (*Result, error) {
 	return RunInstance(p, g, inst, opts)
 }
 
-// RunInstance executes an already-initialized instance of p on g. Callers
-// that need the instance's native state afterwards (the election adapters
-// of internal/algo) initialize it themselves and keep the reference.
+// RunInstance executes an already-initialized instance of p on g and
+// collects every hosted node's output vector. Callers that need the
+// instance's native state afterwards (the election adapters of
+// internal/algo) initialize it themselves and keep the reference.
 func RunInstance(p Protocol, g *graph.Graph, inst Instance, opts Options) (*Result, error) {
-	if g == nil {
-		return nil, errors.New("engine: graph is required")
-	}
 	if inst == nil {
 		return nil, fmt.Errorf("engine: %s: nil instance", p.Name())
 	}
-	lim := inst.Limits()
+	metrics, counts, err := Simulate(g, inst, opts)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %s run failed: %w", p.Name(), err)
+	}
+	n := g.N()
+	res := &Result{
+		Protocol:        p.Name(),
+		Slots:           p.Slots(),
+		Outputs:         make([][]int64, n),
+		PerNodeMessages: counts,
+		Rounds:          metrics.FinalRound,
+		Metrics:         metrics,
+	}
+	for v := 0; v < n; v++ {
+		if opts.Remote != nil && !opts.Remote.Local(v) {
+			continue
+		}
+		res.Outputs[v] = inst.Node(v).Output()
+	}
+	return res, nil
+}
+
+// Simulate runs inst's node machines on g under opts and returns the run's
+// metrics, plus per-node send counts when opts.CountSends is set. It is
+// the one runner of a sim.Config: RunInstance, core.Run and baseline.Run
+// all go through it, and callers that fold the instance's native state
+// themselves skip RunInstance's output vectors.
+func Simulate(g *graph.Graph, inst Instance, opts Options) (sim.Metrics, []int64, error) {
+	if g == nil {
+		return sim.Metrics{}, nil, errors.New("engine: graph is required")
+	}
+	cfg, counter := simConfig(g, inst.Limits(), opts)
+	procs := make([]sim.Process, g.N())
+	for v := range procs {
+		procs[v] = inst.Node(v)
+	}
+	metrics, err := sim.Run(cfg, procs)
+	if err != nil {
+		return sim.Metrics{}, nil, err
+	}
+	// Instances may fold protocol-internal counters into the trace (the
+	// committee validator reports its claim-validation traffic).
+	if ts, ok := inst.(TraceSummarizer); ok && opts.Tracer.Enabled() {
+		name, args := ts.TraceSummary()
+		opts.Tracer.Instant("engine", name, -1, args)
+	}
+	var counts []int64
+	if counter != nil {
+		counts = counter.Counts
+	}
+	return metrics, counts, nil
+}
+
+// simConfig is the one mapping from run options onto a sim.Config: a new
+// Options field is wired here and nowhere else (TestSimConfigWiresEveryOption
+// fails until it is). The returned counter is non-nil exactly when
+// opts.CountSends taps the sends.
+func simConfig(g *graph.Graph, lim Limits, opts Options) (sim.Config, *SendCounter) {
 	maxRounds := opts.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = lim.MaxRounds
 	}
-	n := g.N()
-	nodes := make([]Node, n)
-	procs := make([]sim.Process, n)
-	for v := 0; v < n; v++ {
-		nodes[v] = inst.Node(v)
-		procs[v] = nodes[v]
-	}
 	observer := opts.Observer
 	var counter *SendCounter
 	if opts.CountSends {
-		counter = &SendCounter{Counts: make([]int64, n)}
+		counter = &SendCounter{Counts: make([]int64, g.N())}
 		if observer != nil {
 			observer = teeObserver{a: counter, b: observer}
 		} else {
 			observer = counter
 		}
 	}
-	metrics, err := sim.Run(sim.Config{
+	return sim.Config{
 		Graph:          g,
 		Seed:           opts.Seed,
 		MaxRounds:      maxRounds,
@@ -212,31 +263,5 @@ func RunInstance(p Protocol, g *graph.Graph, inst Instance, opts Options) (*Resu
 		FaultObserver:  opts.FaultObserver,
 		Remote:         opts.Remote,
 		Tracer:         opts.Tracer,
-	}, procs)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %s run failed: %w", p.Name(), err)
-	}
-	// Instances may fold protocol-internal counters into the trace (the
-	// committee validator reports its claim-validation traffic).
-	if ts, ok := inst.(TraceSummarizer); ok && opts.Tracer.Enabled() {
-		name, args := ts.TraceSummary()
-		opts.Tracer.Instant("engine", name, -1, args)
-	}
-	res := &Result{
-		Protocol: p.Name(),
-		Slots:    p.Slots(),
-		Outputs:  make([][]int64, n),
-		Rounds:   metrics.FinalRound,
-		Metrics:  metrics,
-	}
-	for v := 0; v < n; v++ {
-		if opts.Remote != nil && !opts.Remote.Local(v) {
-			continue
-		}
-		res.Outputs[v] = nodes[v].Output()
-	}
-	if counter != nil {
-		res.PerNodeMessages = counter.Counts
-	}
-	return res, nil
+	}, counter
 }

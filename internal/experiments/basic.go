@@ -8,6 +8,7 @@ import (
 	"wcle/internal/baseline"
 	"wcle/internal/broadcast"
 	"wcle/internal/core"
+	"wcle/internal/engine"
 	"wcle/internal/protocol"
 	"wcle/internal/sim"
 	"wcle/internal/stats"
@@ -123,7 +124,7 @@ func e4Spec() Spec {
 				return nil, err
 			}
 			res, err := core.Run(g, core.DefaultConfig(),
-				core.RunOptions{Seed: sim.DeriveSeed(seed, 0xB), LeanMetrics: true})
+				engine.Options{Seed: sim.DeriveSeed(seed, 0xB), LeanMetrics: true})
 			if err != nil {
 				return nil, err
 			}
@@ -183,7 +184,7 @@ func e7Spec() Spec {
 				return nil, err
 			}
 			res, err := core.Run(g, core.DefaultConfig(),
-				core.RunOptions{Seed: sim.DeriveSeed(seed, 0xB), LeanMetrics: true})
+				engine.Options{Seed: sim.DeriveSeed(seed, 0xB), LeanMetrics: true})
 			if err != nil {
 				return nil, err
 			}
@@ -324,7 +325,7 @@ func e14Spec() Spec {
 				return nil, fmt.Errorf("experiments: unknown ablation variant %q", pt.Label)
 			}
 			res, err := core.Run(g, c,
-				core.RunOptions{Seed: sim.DeriveSeed(seed, 0xB), LeanMetrics: true})
+				engine.Options{Seed: sim.DeriveSeed(seed, 0xB), LeanMetrics: true})
 			if err != nil {
 				return nil, err
 			}

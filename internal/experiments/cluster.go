@@ -24,6 +24,7 @@ import (
 
 	"wcle/internal/algo"
 	"wcle/internal/cluster"
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/serve"
 	"wcle/internal/sim"
@@ -134,7 +135,7 @@ func runE19InProcess(g *graph.Graph, backend string, seed int64, counts *sendCou
 	if err != nil {
 		return nil, err
 	}
-	return a.Run(g, algo.Options{Seed: seed, Observer: counts})
+	return a.Run(g, engine.Options{Seed: seed, Observer: counts})
 }
 
 func renderE19(cfg SuiteConfig, data []PointData) (*Table, error) {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"wcle/internal/algo"
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/sim"
 )
@@ -69,7 +70,7 @@ func e17Spec() Spec {
 				if err != nil {
 					return nil, err
 				}
-				out, err := a.Run(g, algo.Options{
+				out, err := a.Run(g, engine.Options{
 					Seed:        sim.DeriveSeed(seed, uint64(0xA1+i)),
 					LeanMetrics: true,
 				})

@@ -5,7 +5,9 @@ import (
 	"sync"
 	"time"
 
+	"wcle/internal/algo"
 	"wcle/internal/core"
+	"wcle/internal/engine"
 	"wcle/internal/sim"
 )
 
@@ -93,8 +95,12 @@ func e15Spec() Spec {
 			}
 			c := core.DefaultConfig()
 			c.Resend = resend
-			batch, err := core.RunMany(g, c, core.BatchOptions{
-				Base:     core.RunOptions{Seed: sim.DeriveSeed(seed, 0xB), LeanMetrics: true},
+			a, err := algo.New(algo.GilbertRS18, algo.Config{Core: c})
+			if err != nil {
+				return nil, err
+			}
+			batch, err := algo.RunMany(g, a, engine.BatchOptions{
+				Base:     engine.Options{Seed: sim.DeriveSeed(seed, 0xB), LeanMetrics: true},
 				Trials:   e15Elections(cfg),
 				NewFault: func(int) sim.FaultPlane { return fault() },
 			})
@@ -179,8 +185,12 @@ func e16Spec() Spec {
 			master := sim.DeriveSeed(seed, 0xB)
 
 			// Sharded: MultiRunner, sequential engine per election.
-			batch, err := core.RunMany(g, c, core.BatchOptions{
-				Base:   core.RunOptions{Seed: master, LeanMetrics: true},
+			a, err := algo.New(algo.GilbertRS18, algo.Config{Core: c})
+			if err != nil {
+				return nil, err
+			}
+			batch, err := algo.RunMany(g, a, engine.BatchOptions{
+				Base:   engine.Options{Seed: master, LeanMetrics: true},
 				Trials: e16Elections,
 			})
 			if err != nil {
@@ -200,7 +210,7 @@ func e16Spec() Spec {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					res, err := core.Run(g, c, core.RunOptions{
+					res, err := core.Run(g, c, engine.Options{
 						Seed:        sim.DeriveSeed(master, uint64(i)),
 						Concurrent:  true,
 						LeanMetrics: true,
@@ -226,9 +236,9 @@ func e16Spec() Spec {
 			perNodeEPS := float64(e16Elections) / perNode.Seconds()
 			return Metrics{
 				"elections":   e16Elections,
-				"eps_sharded": batch.ElectionsPerSec,
+				"eps_sharded": batch.RunsPerSec,
 				"eps_pernode": perNodeEPS,
-				"speedup":     batch.ElectionsPerSec / perNodeEPS,
+				"speedup":     batch.RunsPerSec / perNodeEPS,
 				"msgs":        float64(batch.Messages) / e16Elections,
 			}, nil
 		},

@@ -7,6 +7,7 @@ import (
 
 	"wcle/internal/broadcast"
 	"wcle/internal/core"
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/lowerbound"
 	"wcle/internal/sim"
@@ -193,7 +194,7 @@ func e10Spec() Spec {
 			c := core.DefaultConfig()
 			c.MaxWalkLen = 64 // the budget bites long before longer walks matter
 			budget := int64(pt.Mult) * int64(1/pt.Alpha)
-			res, err := core.Run(lb.Graph, c, core.RunOptions{
+			res, err := core.Run(lb.Graph, c, engine.Options{
 				Seed: sim.DeriveSeed(seed, 0xB), Budget: budget, Observer: tr, LeanMetrics: true,
 			})
 			if err != nil {
@@ -348,7 +349,7 @@ func e12Spec() Spec {
 				c.ForcedContenders = conts
 			}
 			tr := lowerbound.NewBridgeTracker(db)
-			res, err := core.Run(db.Graph, c, core.RunOptions{
+			res, err := core.Run(db.Graph, c, engine.Options{
 				Seed: sim.DeriveSeed(seed, 0xB), Observer: tr, LeanMetrics: true})
 			if err != nil {
 				return nil, err

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"wcle/internal/core"
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/protocol"
 	"wcle/internal/sim"
@@ -126,7 +127,7 @@ func gridSetupFn(cfg SuiteConfig, pt Point, seed int64) (interface{}, error) {
 func gridTrial(cfg SuiteConfig, pt Point, setup interface{}, seed int64) (Metrics, error) {
 	gs := setup.(*gridSetup)
 	res, err := core.Run(gs.g, core.DefaultConfig(),
-		core.RunOptions{Seed: seed, LeanMetrics: true})
+		engine.Options{Seed: seed, LeanMetrics: true})
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +161,7 @@ func gridTrial(cfg SuiteConfig, pt Point, setup interface{}, seed int64) (Metric
 		cfgB := core.DefaultConfig()
 		cfgB.FixedWalkLen = 2 * gs.tmix
 		base, err := core.Run(gs.g, cfgB,
-			core.RunOptions{Seed: sim.DeriveSeed(seed, 1), LeanMetrics: true})
+			engine.Options{Seed: sim.DeriveSeed(seed, 1), LeanMetrics: true})
 		if err != nil {
 			return nil, err
 		}
@@ -398,14 +399,14 @@ func e6Spec() Spec {
 			}
 			runSeed := sim.DeriveSeed(seed, 0xB)
 			resC, err := core.Run(g, core.DefaultConfig(),
-				core.RunOptions{Seed: runSeed, LeanMetrics: true})
+				engine.Options{Seed: runSeed, LeanMetrics: true})
 			if err != nil {
 				return nil, err
 			}
 			cfgL := core.DefaultConfig()
 			cfgL.Mode = protocol.ModeLarge
 			resL, err := core.Run(g, cfgL,
-				core.RunOptions{Seed: runSeed, LeanMetrics: true})
+				engine.Options{Seed: runSeed, LeanMetrics: true})
 			if err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wcle/internal/core"
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 )
 
@@ -137,7 +138,7 @@ func TestBudgetedElectionOnLowerBoundGraph(t *testing.T) {
 	tr := NewCGTracker(lb)
 	cfg := core.DefaultConfig()
 	cfg.MaxWalkLen = 8
-	res, err := core.Run(lb.Graph, cfg, core.RunOptions{
+	res, err := core.Run(lb.Graph, cfg, engine.Options{
 		Seed:     2,
 		Budget:   2000,
 		Observer: tr,
@@ -172,7 +173,7 @@ func TestBridgeTrackerOnDumbbell(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.AssumedN = db.Half // nodes believe the network is one half
 	cfg.MaxWalkLen = 16
-	res, err := core.Run(db.Graph, cfg, core.RunOptions{Seed: 3, Observer: tr})
+	res, err := core.Run(db.Graph, cfg, engine.Options{Seed: 3, Observer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestDumbbellTwoLeadersWithWrongN(t *testing.T) {
 		// depth-1 trees cannot reach across a bridge.
 		cfg.DisableDistinctness = true
 		tr := NewBridgeTracker(db)
-		res, err := core.Run(db.Graph, cfg, core.RunOptions{Seed: seed, Observer: tr})
+		res, err := core.Run(db.Graph, cfg, engine.Options{Seed: seed, Observer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 
 	"wcle/internal/algo"
 	"wcle/internal/core"
+	"wcle/internal/engine"
 	"wcle/internal/obs"
 	"wcle/internal/sim"
 	"wcle/internal/stats"
@@ -114,7 +115,7 @@ func (j *Job) State() string {
 // queue. Submissions beyond the queue capacity are rejected immediately
 // (backpressure) rather than buffered without bound; each accepted job's
 // elections run through the algo backend registry (per-point "algorithm"
-// field) and are sharded across algo.RunMany's MultiRunner pool with seeds
+// field) and are sharded across engine.RunMany's MultiRunner pool with seeds
 // derived from the job's master seed via the experiments contract, so a
 // job's result is a deterministic function of (registry, request).
 type Scheduler struct {
@@ -374,8 +375,8 @@ func (s *Scheduler) runPoints(req SubmitRequest) (*JobResult, error) {
 			// Validated at submission; the registry never unregisters.
 			return nil, fmt.Errorf("serve: point %d: %w", i, err)
 		}
-		opts := algo.BatchOptions{
-			Base:          algo.Options{Seed: baseSeed, LeanMetrics: true, Tracer: s.tracer},
+		opts := engine.BatchOptions{
+			Base:          engine.Options{Seed: baseSeed, LeanMetrics: true, Tracer: s.tracer},
 			Trials:        p.Trials,
 			Workers:       s.electionWorkers,
 			CollectTrials: true,
@@ -405,7 +406,7 @@ func (s *Scheduler) runPoints(req SubmitRequest) (*JobResult, error) {
 			Rounds:       batch.Rounds,
 			FaultDrops:   batch.FaultDrops,
 			Contenders:   batch.Contenders,
-			Summaries:    trialSummaries(batch),
+			Summaries:    trialSummaries(batch.TrialRounds, batch.TrialMessages, batch.TrialContenders),
 		}
 		s.attachProfile(&pr, p.Graph)
 		out.Points = append(out.Points, pr)
@@ -460,22 +461,18 @@ func (s *Scheduler) runPointCluster(i int, p PointSpec, algName string, baseSeed
 		contenders[t] = int32(out.Contenders)
 	}
 	pr.UniqueLeader = pr.One == pr.Trials
-	pr.Summaries = trialSummaries(&algo.BatchResult{
-		TrialRounds:     rounds,
-		TrialMessages:   msgs,
-		TrialContenders: contenders,
-	})
+	pr.Summaries = trialSummaries(rounds, msgs, contenders)
 	s.met.ElectionsServed.Add(int64(p.Trials))
 	s.met.AddAlgoElections(algName, int64(p.Trials))
 	return pr, nil
 }
 
 // trialSummaries aggregates the per-trial vectors of a collected batch.
-func trialSummaries(b *algo.BatchResult) map[string]AggWire {
+func trialSummaries(rounds []int32, msgs []int64, contenders []int32) map[string]AggWire {
 	series := map[string][]float64{
-		"rounds":     int32Floats(b.TrialRounds),
-		"messages":   int64Floats(b.TrialMessages),
-		"contenders": int32Floats(b.TrialContenders),
+		"rounds":     int32Floats(rounds),
+		"messages":   int64Floats(msgs),
+		"contenders": int32Floats(contenders),
 	}
 	out := make(map[string]AggWire, len(series))
 	for name, xs := range series {

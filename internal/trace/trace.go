@@ -109,7 +109,7 @@ func (kc *KindCounter) OnSend(round int, from, fromPort, to, toPort int, m sim.M
 
 // FaultLog records the fault plane's interventions: up to Cap events
 // (0 means DefaultCap) plus always-on aggregate counts per kind. Attach it
-// via Config.FaultObserver (or core.RunOptions.FaultObserver) to make a
+// via sim.Config.FaultObserver (or engine.Options.FaultObserver) to make a
 // faulty run's drops, delays, crashes, and mutations observable.
 type FaultLog struct {
 	Cap     int

@@ -30,8 +30,9 @@ type (
 	// Config parameterizes the election algorithm (constants c1/c2, message
 	// mode, ablations, test hooks).
 	Config = core.Config
-	// Options are the per-run simulation knobs (seed, budget, observer).
-	Options = core.RunOptions
+	// Options are the per-run knobs of every entry point (seed, budget,
+	// fault plane, observers, tracer); see engine.Options.
+	Options = engine.Options
 	// Result summarizes one election run.
 	Result = core.Result
 	// ID is a protocol-level identity drawn from [1, n^4].
@@ -83,10 +84,6 @@ type (
 	// equivocation, forgery, or bit corruption on the canonical wire
 	// encoding, seed-deterministic like every other plane.
 	Byzantine = sim.Byzantine
-	// BatchOptions parameterizes ElectMany.
-	BatchOptions = core.BatchOptions
-	// BatchResult aggregates an ElectMany batch.
-	BatchResult = core.BatchResult
 
 	// Algorithm is a pluggable election backend (see internal/algo): the
 	// registry ships gilbertrs18 (the paper), floodmax (the Omega(m)
@@ -95,12 +92,14 @@ type (
 	Algorithm = algo.Algorithm
 	// AlgorithmConfig is the union of the backends' constructor knobs.
 	AlgorithmConfig = algo.Config
-	// AlgorithmOptions are the backend-independent per-run knobs.
-	AlgorithmOptions = algo.Options
+	// AlgorithmOptions are the per-run knobs of the election entry points
+	// (the same type as Options).
+	AlgorithmOptions = engine.Options
 	// AlgorithmOutcome is the backend-independent election summary.
 	AlgorithmOutcome = algo.Outcome
-	// AlgorithmBatchOptions parameterizes ElectManyWith.
-	AlgorithmBatchOptions = algo.BatchOptions
+	// AlgorithmBatchOptions parameterizes ElectManyWith (the same type as
+	// ProtocolBatchOptions).
+	AlgorithmBatchOptions = engine.BatchOptions
 	// AlgorithmBatchResult aggregates an ElectManyWith batch.
 	AlgorithmBatchResult = algo.BatchResult
 
@@ -152,16 +151,6 @@ type (
 // ComposeFaults chains fault planes (drops combine, delays add, crashes
 // union); nil and Perfect members are elided.
 func ComposeFaults(planes ...FaultPlane) FaultPlane { return sim.Compose(planes...) }
-
-// ElectMany runs many independent elections of cfg on g across a sharded
-// worker pool and aggregates the outcomes (see core.RunMany).
-//
-// Deprecated: use RunMany for the protocol-generic batch, or
-// ElectManyWith for other election backends. ElectMany remains as the
-// core-native batch and keeps its exact behavior.
-func ElectMany(g *Graph, cfg Config, opts BatchOptions) (*BatchResult, error) {
-	return core.RunMany(g, cfg, opts)
-}
 
 // BuildGraph instantiates a GraphSpec (the registry does this once per
 // registered name; this entry point is for ad-hoc use).
@@ -229,19 +218,8 @@ func Run(protocol string, g *Graph, cfg ProtocolConfig, opts AlgorithmOptions) (
 	if err != nil {
 		return nil, err
 	}
-	res, err := engine.RunInstance(p, g, inst, engine.Options{
-		Seed:          opts.Seed,
-		Budget:        opts.Budget,
-		MaxRounds:     opts.MaxRounds,
-		Concurrent:    opts.Concurrent,
-		LeanMetrics:   opts.LeanMetrics,
-		DebugFrom:     opts.DebugFrom,
-		CountSends:    true,
-		Observer:      opts.Observer,
-		Fault:         opts.Fault,
-		FaultObserver: opts.FaultObserver,
-		Tracer:        opts.Tracer,
-	})
+	opts.CountSends = true
+	res, err := engine.RunInstance(p, g, inst, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -257,8 +235,7 @@ func Run(protocol string, g *Graph, cfg ProtocolConfig, opts AlgorithmOptions) (
 }
 
 // RunMany runs many independent trials of the named protocol on g across
-// a sharded worker pool, with the same seed-derivation contract as
-// ElectMany (trial i runs at DeriveSeed(Base.Seed, i)).
+// a sharded worker pool; trial i runs at DeriveSeed(Base.Seed, i).
 func RunMany(protocol string, g *Graph, cfg ProtocolConfig, opts ProtocolBatchOptions) (*ProtocolBatchResult, error) {
 	if protocol == "" {
 		protocol = algo.DefaultName
@@ -267,7 +244,7 @@ func RunMany(protocol string, g *Graph, cfg ProtocolConfig, opts ProtocolBatchOp
 	if err != nil {
 		return nil, err
 	}
-	return engine.RunMany(p, g, opts)
+	return engine.RunMany(p, g, opts, nil)
 }
 
 // Elect runs the paper's implicit leader-election algorithm on g — the
@@ -277,18 +254,7 @@ func RunMany(protocol string, g *Graph, cfg ProtocolConfig, opts ProtocolBatchOp
 // backend-native result without the engine report). Elect remains as a
 // thin wrapper and keeps its exact behavior.
 func Elect(g *Graph, cfg Config, opts Options) (*Result, error) {
-	out, err := ElectWith(algo.GilbertRS18, g, AlgorithmConfig{Core: cfg}, AlgorithmOptions{
-		Seed:          opts.Seed,
-		Budget:        opts.Budget,
-		MaxRounds:     opts.MaxRounds,
-		Concurrent:    opts.Concurrent,
-		LeanMetrics:   opts.LeanMetrics,
-		DebugFrom:     opts.DebugFrom,
-		Observer:      opts.Observer,
-		Fault:         opts.Fault,
-		FaultObserver: opts.FaultObserver,
-		Tracer:        opts.Tracer,
-	})
+	out, err := ElectWith(algo.GilbertRS18, g, AlgorithmConfig{Core: cfg}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +279,7 @@ func ElectWith(algorithm string, g *Graph, cfg AlgorithmConfig, opts AlgorithmOp
 
 // ElectManyWith runs many independent elections of the named backend on g
 // across a sharded worker pool, with the same seed-derivation contract as
-// ElectMany.
+// RunMany, and tallies their leader counts.
 //
 // Deprecated: use RunMany for the protocol-generic batch; ElectManyWith
 // remains for election-shaped aggregation (leader/success tallies).

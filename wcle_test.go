@@ -210,15 +210,16 @@ func TestPublicExperiments(t *testing.T) {
 	}
 }
 
-// ElectMany aggregates a deterministic batch: outcome counts are identical
-// whatever the worker count, and a fault plane threads through the facade.
+// ElectManyWith on the default backend aggregates a deterministic batch:
+// outcome counts are identical whatever the worker count, and a fault
+// plane threads through the facade.
 func TestElectManyDeterministicAcrossWorkers(t *testing.T) {
 	g, err := wcle.NewRandomRegular(32, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) *wcle.BatchResult {
-		res, err := wcle.ElectMany(g, wcle.DefaultConfig(), wcle.BatchOptions{
+	run := func(workers int) *wcle.AlgorithmBatchResult {
+		res, err := wcle.ElectManyWith(wcle.DefaultAlgorithm(), g, wcle.AlgorithmConfig{Core: wcle.DefaultConfig()}, wcle.AlgorithmBatchOptions{
 			Base:    wcle.Options{Seed: 11, LeanMetrics: true},
 			Trials:  4,
 			Workers: workers,
@@ -242,7 +243,7 @@ func TestElectManyDeterministicAcrossWorkers(t *testing.T) {
 	if a.FaultDrops == 0 && a.Delayed == 0 {
 		t.Fatal("fault plane did not intervene (suspicious for 4 elections at 2% drop)")
 	}
-	if a.ElectionsPerSec <= 0 || len(a.Shards) == 0 {
+	if a.RunsPerSec <= 0 || len(a.Shards) == 0 {
 		t.Fatalf("throughput/shard stats missing: %+v", a)
 	}
 }
@@ -297,7 +298,7 @@ func TestElectManyWithBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Algorithm != "floodmax" || res.One != 5 {
+	if res.Protocol != "floodmax" || res.One != 5 {
 		t.Fatalf("floodmax batch: %+v", res)
 	}
 }
