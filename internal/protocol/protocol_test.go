@@ -94,6 +94,41 @@ func TestRandomIDRange(t *testing.T) {
 	}
 }
 
+// The ids drawn at n = 512 from one seeded stream, pinned: widening
+// RandomID's range for n >= 65,536 must not move any smaller network's ids.
+func TestRandomIDPinned512(t *testing.T) {
+	rng := sim.NewRand(2024)
+	want := []ID{39031657610, 18996669282, 43369113022, 26769437432, 62640625190, 42744518356}
+	for i, w := range want {
+		if got := RandomID(rng.Uint64, 512); got != w {
+			t.Fatalf("id %d: %d, want %d", i, got, w)
+		}
+	}
+}
+
+// n^4 overflows a uint64 from n = 65,536 on (and wraps to 0 at multiples
+// of 65,536); the id is then a nonzero uint64 draw.
+func TestRandomIDLargeN(t *testing.T) {
+	for _, n := range []int{65536, 100000, 131072, 1 << 20} {
+		rng := sim.NewRand(int64(n))
+		for i := 0; i < 1000; i++ {
+			if id := RandomID(rng.Uint64, n); id == 0 {
+				t.Fatalf("n=%d: id 0", n)
+			}
+		}
+		draws := []uint64{0, 0, 7}
+		next := func() uint64 { v := draws[0]; draws = draws[1:]; return v }
+		if id := RandomID(next, n); id != 7 {
+			t.Fatalf("n=%d: id %d after two zero draws, want 7", n, id)
+		}
+	}
+	// The largest n whose n^4 fits keeps the [1, n^4] range.
+	max := uint64(65535) * 65535 * 65535 * 65535
+	if id := RandomID(func() uint64 { return max - 1 }, 65535); uint64(id) != max {
+		t.Fatalf("n=65535: id %d, want %d", id, max)
+	}
+}
+
 func TestCodecMessageBits(t *testing.T) {
 	c, err := NewCodec(512, ModeCongest)
 	if err != nil {

@@ -101,9 +101,18 @@ func (s Sizing) MaxIDsPerMessage(m Mode) (int, error) {
 func (s Sizing) OverheadBits() int { return 2*s.IDBits() + 3*s.CountBits() + FlagBits }
 
 // RandomID draws an id uniformly from [1, n^4] using the given random
-// source (a function returning uniform uint64, typically rng.Uint64).
+// source (a function returning uniform uint64, typically rng.Uint64). From
+// n = 65,536 on, n^4 exceeds 2^64 − 1, and the id is drawn uniformly from
+// [1, 2^64 − 1], the widest range an ID holds.
 func RandomID(uint64fn func() uint64, n int) ID {
-	max := uint64(n) * uint64(n) * uint64(n) * uint64(n) // n <= 2^15 keeps this in range
+	if n >= 1<<16 {
+		for {
+			if v := uint64fn(); v != 0 {
+				return ID(v)
+			}
+		}
+	}
+	max := uint64(n) * uint64(n) * uint64(n) * uint64(n)
 	// Rejection sampling for exact uniformity on [0, max).
 	limit := ^uint64(0) - (^uint64(0) % max)
 	for {

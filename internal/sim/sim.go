@@ -325,11 +325,13 @@ func NewRunner(cfg Config, procs []Process) (*Runner, error) {
 			r.mut = mt
 		}
 	}
-	for v := range r.ctxs {
+	// Every shard builds every node's context, so the streams (and their
+	// collision rule) are the same on every shard.
+	for v, seed := range nodeSeeds(cfg.Seed, len(r.ctxs)) {
 		r.ctxs[v] = &Context{
 			r:        r,
 			node:     v,
-			rng:      NewRand(DeriveSeed(cfg.Seed, uint64(v))),
+			rng:      NewRand(seed),
 			sentPort: make([]bool, cfg.Graph.Degree(v)),
 		}
 	}
