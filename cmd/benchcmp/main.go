@@ -4,16 +4,18 @@
 // beyond tolerance — ns/op by a generous relative margin (wall time is
 // noisy across machines), allocs/op by a tight one (allocation counts are
 // nearly deterministic for a fixed toolchain; single-iteration runs jitter
-// by a handful of allocs, so the default tolerance is 1%, not 0).
+// by a handful of allocs, so the default tolerance is 1%, not 0). Repeated
+// lines of one benchmark (go test -count N) fold into their median, field
+// by field, both when comparing and when writing a baseline.
 //
 // Compare (the CI path):
 //
-//	go test -run '^$' -bench . -benchmem -benchtime 1x . | tee bench.txt
-//	go run ./cmd/benchcmp -baseline BENCH_seed.json -bench bench.txt -ns-tol 1.0
+//	go test -run '^$' -bench . -benchmem -count 5 -benchtime 1x . | tee bench.txt
+//	go run ./cmd/benchcmp -baseline BENCH_seed.json -bench bench.txt -ns-tol 1.5
 //
 // Re-baseline (after an intentional perf change, on a quiet machine):
 //
-//	go test -run '^$' -bench . -benchmem -benchtime 1x . > bench.txt
+//	go test -run '^$' -bench . -benchmem -count 5 -benchtime 1x . > bench.txt
 //	go run ./cmd/benchcmp -bench bench.txt -write BENCH_seed.json \
 //	    -revision "$(git rev-parse --short HEAD)"
 //
@@ -137,7 +139,8 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
 // parseBenchOutput reads the text format of `go test -bench`. Measurement
 // fields come in "<value> <unit>" pairs; ns/op, B/op, and allocs/op are
-// structural, anything else is a custom b.ReportMetric unit.
+// structural, anything else is a custom b.ReportMetric unit. Repeated
+// lines of one benchmark fold into one entry (foldMedians).
 func parseBenchOutput(r io.Reader) (*Run, error) {
 	out := &Run{}
 	sc := bufio.NewScanner(r)
@@ -192,7 +195,64 @@ func parseBenchOutput(r io.Reader) (*Run, error) {
 		}
 		out.Entries = append(out.Entries, e)
 	}
-	return out, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	out.Entries = foldMedians(out.Entries)
+	return out, nil
+}
+
+// foldMedians merges the entries of each benchmark name into one, in order
+// of first appearance: every field is the median of the lines that carry
+// it, so one slow repeat on a noisy host moves nothing.
+func foldMedians(entries []Entry) []Entry {
+	var order []string
+	byName := map[string][]Entry{}
+	for _, e := range entries {
+		if _, ok := byName[e.Name]; !ok {
+			order = append(order, e.Name)
+		}
+		byName[e.Name] = append(byName[e.Name], e)
+	}
+	out := make([]Entry, 0, len(order))
+	for _, name := range order {
+		reps := byName[name]
+		field := func(get func(Entry) float64) float64 {
+			var vals []float64
+			for _, e := range reps {
+				vals = append(vals, get(e))
+			}
+			return median(vals)
+		}
+		e := Entry{Name: name, Custom: map[string]float64{},
+			Iterations:  int64(field(func(e Entry) float64 { return float64(e.Iterations) })),
+			NsPerOp:     field(func(e Entry) float64 { return e.NsPerOp }),
+			BPerOp:      field(func(e Entry) float64 { return e.BPerOp }),
+			AllocsPerOp: field(func(e Entry) float64 { return e.AllocsPerOp }),
+		}
+		units := map[string][]float64{}
+		for _, r := range reps {
+			for unit, v := range r.Custom {
+				units[unit] = append(units[unit], v)
+			}
+		}
+		for unit, vals := range units {
+			e.Custom[unit] = median(vals)
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// median returns the middle value of vals (the mean of the middle two for
+// an even count).
+func median(vals []float64) float64 {
+	sort.Float64s(vals)
+	n := len(vals)
+	if n%2 == 1 {
+		return vals[n/2]
+	}
+	return (vals[n/2-1] + vals[n/2]) / 2
 }
 
 // loadBaseline reads the committed JSON. Benchmark objects are decoded as
@@ -344,7 +404,7 @@ func renderBaseline(run *Run, revision, benchtime string, seed int64) []byte {
 	var sb strings.Builder
 	sb.WriteString("{\n")
 	fmt.Fprintf(&sb, "  %q: %q,\n", "description",
-		"Benchmark baseline for hot-path delta tracking. Regenerate with: go test -run XXX -bench . -benchmem -benchtime 1x . (single-iteration wall times on a noisy shared vCPU: treat ns/op as indicative, B/op and allocs/op as exact).")
+		"Benchmark baseline for hot-path delta tracking. Regenerate with: go test -run '^$' -bench . -benchmem -count 5 -benchtime 1x . (each value is the median of 5 single-iteration runs on a noisy shared vCPU: treat ns/op as indicative, B/op and allocs/op as exact).")
 	fmt.Fprintf(&sb, "  %q: %q,\n", "revision", revision)
 	fmt.Fprintf(&sb, "  %q: %d,\n", "seed_suite", seed)
 	fmt.Fprintf(&sb, "  %q: %q,\n", "goos", run.Goos)

@@ -50,6 +50,35 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
+// Repeated lines of one benchmark (go test -count 5) fold into one entry
+// holding the median of each field, in order of first appearance.
+func TestParseFoldsRepeatsToMedian(t *testing.T) {
+	const out = `BenchmarkA-2 	1	500 ns/op	7 congest-msgs	100 B/op	10 allocs/op
+BenchmarkB 	1	42 ns/op
+BenchmarkA-2 	1	100 ns/op	7 congest-msgs	120 B/op	12 allocs/op
+BenchmarkA-2 	1	300 ns/op	9 congest-msgs	100 B/op	10 allocs/op
+BenchmarkA-2 	1	9000 ns/op	9 congest-msgs	104 B/op	11 allocs/op
+BenchmarkA-2 	1	200 ns/op	7 congest-msgs	100 B/op	10 allocs/op
+`
+	run, err := parseBenchOutput(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.Entries) != 2 || run.Entries[0].Name != "BenchmarkA" || run.Entries[1].Name != "BenchmarkB" {
+		t.Fatalf("entries: %+v", run.Entries)
+	}
+	a := run.Entries[0]
+	if a.Iterations != 1 || a.NsPerOp != 300 || a.BPerOp != 100 || a.AllocsPerOp != 10 || a.Custom["congest-msgs"] != 7 {
+		t.Fatalf("folded entry: %+v", a)
+	}
+	if b := run.Entries[1]; b.NsPerOp != 42 || b.AllocsPerOp != -1 {
+		t.Fatalf("single entry: %+v", b)
+	}
+	if m := median([]float64{4, 1, 3, 2}); m != 2.5 {
+		t.Fatalf("median of an even count: %v, want 2.5", m)
+	}
+}
+
 func TestLoadCommittedBaseline(t *testing.T) {
 	// The committed baseline itself must stay parseable: it is what CI
 	// gates on.

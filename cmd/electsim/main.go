@@ -29,7 +29,6 @@ import (
 	"wcle/internal/core"
 	"wcle/internal/obs"
 	"wcle/internal/protocol"
-	"wcle/internal/trace"
 )
 
 func main() {
@@ -182,10 +181,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var faults *trace.FaultLog
+	var faults *FaultLog
 	if fault != nil {
 		opts.Fault = fault
-		faults = &trace.FaultLog{}
+		faults = &FaultLog{}
 		opts.FaultObserver = faults
 	}
 	var phaseObs *core.PhaseObserver

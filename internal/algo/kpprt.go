@@ -91,10 +91,13 @@ const (
 	kindReply    = "kpprt-reply"
 )
 
-// kAnnounce is a candidate announcement in flight: the candidate's id,
-// the remaining lazy-walk rounds, and the return ports recorded so far
-// (most recent last). Forwarding reuses the object: after delivery only
-// the receiving node holds a reference.
+// kAnnounce is a referee walk: the candidate's id, the lazy-walk rounds it
+// has left, and the return ports recorded so far (most recent last). A
+// walk is one object from launch to landing: launch allocates it, a
+// delivered announcement continues as the walk, rests in its node's holds
+// as itself and is re-enqueued when it moves. After delivery only the
+// receiving node holds a reference, and the path belongs to this walk
+// alone (launch starts it nil, each hop appends at the receiver).
 type kAnnounce struct {
 	id     protocol.ID
 	rounds int // lazy-walk rounds remaining
@@ -105,7 +108,9 @@ type kAnnounce struct {
 func (m *kAnnounce) Bits() int    { return m.bits }
 func (m *kAnnounce) Kind() string { return kindAnnounce }
 
-// kReply is a referee verdict retracing an announcement's return path.
+// kReply is a referee verdict retracing an announcement's return path. A
+// relaying node shortens the delivered reply's path and re-enqueues the
+// same object; only a referee's own verdict allocates one.
 type kReply struct {
 	win  bool
 	path []int32
@@ -114,13 +119,6 @@ type kReply struct {
 
 func (m *kReply) Bits() int    { return m.bits }
 func (m *kReply) Kind() string { return kindReply }
-
-// heldWalk is an announcement resting at a node mid-walk.
-type heldWalk struct {
-	id         protocol.ID
-	roundsLeft int
-	path       []int32
-}
 
 // refereeRecord is one on-time announcement awaiting a verdict.
 type refereeRecord struct {
@@ -144,8 +142,9 @@ type kNode struct {
 	leadRound int
 	decided   bool
 
-	// Walk-forwarding state.
-	holds []heldWalk
+	// Walk-forwarding state: the walks resting here, and the slice the
+	// walks that stay another round are collected in (the two swap).
+	holds, spare []*kAnnounce
 
 	// Referee state.
 	records  []refereeRecord
@@ -282,22 +281,30 @@ func (nd *kNode) land(ctx *sim.Context, id protocol.ID, path []int32) {
 	ctx.WakeAt(nd.p.window)
 }
 
-// reply routes a verdict back along an announcement's recorded path. An
-// empty path means the candidate is this node (a walk that never moved).
-// A recorded port outside this node's degree cannot come from an honest
-// walk (every hop records the port it arrived on); it is a forgery, and
-// the verdict it claims to route is discarded rather than trusted.
+// reply sends this referee's verdict back along an announcement's
+// recorded path. An empty path means the candidate is this node (a walk
+// that never moved).
 func (nd *kNode) reply(ctx *sim.Context, win bool, path []int32) {
 	if len(path) == 0 {
 		nd.verdict(ctx, win)
 		return
 	}
-	port := int(path[len(path)-1])
+	nd.relay(&kReply{win: win, path: path})
+}
+
+// relay sends a verdict one hop back along its non-empty path, dropping
+// that hop from the path. A recorded port outside this node's degree
+// cannot come from an honest walk (every hop records the port it arrived
+// on); it is a forgery, and the verdict it claims to route is discarded
+// rather than trusted.
+func (nd *kNode) relay(m *kReply) {
+	port := int(m.path[len(m.path)-1])
 	if port < 0 || port >= len(nd.outq) {
 		return
 	}
-	rest := path[:len(path)-1]
-	nd.enqueue(port, &kReply{win: win, path: rest, bits: nd.p.replyBits(len(rest))})
+	m.path = m.path[:len(m.path)-1]
+	m.bits = nd.p.replyBits(len(m.path))
+	nd.enqueue(port, m)
 }
 
 // verdict counts one of this candidate's committee answers.
@@ -321,17 +328,17 @@ func (nd *kNode) verdict(ctx *sim.Context, win bool) {
 	}
 }
 
-// stepWalk advances one held announcement by one lazy round: stay with
+// stepWalk advances one walk at this node by one lazy round: stay with
 // probability 1/2, otherwise move through a uniformly random port. A walk
 // with no rounds left lands here.
-func (nd *kNode) stepWalk(ctx *sim.Context, w heldWalk) {
-	if w.roundsLeft <= 0 {
+func (nd *kNode) stepWalk(ctx *sim.Context, w *kAnnounce) {
+	if w.rounds <= 0 {
 		nd.land(ctx, w.id, w.path)
 		return
 	}
-	w.roundsLeft--
+	w.rounds--
 	if ctx.Rand().Intn(2) == 0 { // lazy: stay
-		if w.roundsLeft == 0 {
+		if w.rounds == 0 {
 			nd.land(ctx, w.id, w.path)
 			return
 		}
@@ -340,8 +347,8 @@ func (nd *kNode) stepWalk(ctx *sim.Context, w heldWalk) {
 		return
 	}
 	port := ctx.Rand().Intn(ctx.Degree())
-	nd.enqueue(port, &kAnnounce{id: w.id, rounds: w.roundsLeft, path: w.path,
-		bits: nd.p.announceBits(len(w.path))})
+	w.bits = nd.p.announceBits(len(w.path))
+	nd.enqueue(port, w)
 }
 
 func (nd *kNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
@@ -369,12 +376,12 @@ func (nd *kNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			}
 			// Record the way back, then continue the walk from here.
 			m.path = append(m.path, int32(env.Port))
-			nd.stepWalk(ctx, heldWalk{id: m.id, roundsLeft: m.rounds, path: m.path})
+			nd.stepWalk(ctx, m)
 		case *kReply:
 			if len(m.path) == 0 {
 				nd.verdict(ctx, m.win)
 			} else {
-				nd.reply(ctx, m.win, m.path)
+				nd.relay(m)
 			}
 		default:
 			return fmt.Errorf("algo: kpprt got unexpected message kind %q", env.Payload.Kind())
@@ -384,10 +391,11 @@ func (nd *kNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	// Advance walks resting here.
 	if len(nd.holds) > 0 {
 		holds := nd.holds
-		nd.holds = nil
+		nd.holds = nd.spare[:0]
 		for _, w := range holds {
 			nd.stepWalk(ctx, w)
 		}
+		nd.spare = holds[:0]
 	}
 
 	// Referee verdicts at the window round.
@@ -434,7 +442,7 @@ func (nd *kNode) launch(ctx *sim.Context) {
 	}
 	nd.launched = r
 	for i := 0; i < r; i++ {
-		nd.holds = append(nd.holds, heldWalk{id: nd.id, roundsLeft: nd.p.hops})
+		nd.holds = append(nd.holds, &kAnnounce{id: nd.id, rounds: nd.p.hops})
 	}
 	ctx.WakeAt(ctx.Round() + 1)
 }

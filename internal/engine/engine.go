@@ -84,8 +84,8 @@ type Options struct {
 	// Concurrent selects the goroutine-per-awake-node engine.
 	Concurrent bool
 	// LeanMetrics skips per-kind message accounting on the send hot path
-	// (Metrics.ByKind stays empty; a trace.KindCounter observer still
-	// counts kinds). Bulk experiment trials enable it.
+	// (Metrics.ByKind stays empty; an Observer can still count kinds).
+	// Bulk experiment trials enable it.
 	LeanMetrics bool
 	// DebugFrom stamps sender indices on delivered envelopes (debugging
 	// only; the conformance battery asserts outcomes never depend on it).

@@ -64,26 +64,25 @@ func shardSafe(p FaultPlane) bool {
 }
 
 // senderRands is the per-sender randomness shared by the keyed planes: a
-// lazily grown table of independent streams, one per sending node, each
-// derived from (Reset seed, sender index).
+// lazily filled table of independent streams, one per sending node. The
+// seeds follow the node-stream rule (nodeSeeds) over the Reset seed and n,
+// so no two senders share a stream, and since the rule depends only on
+// (seed, n) every shard computes the same seeds.
 type senderRands struct {
-	seed int64
-	rngs []*Rand
+	seeds []int64
+	rngs  []*Rand
 }
 
 func (s *senderRands) reset(seed int64, g *graph.Graph) {
-	s.seed = seed
+	s.seeds = nodeSeeds(seed, g.N())
 	s.rngs = make([]*Rand, g.N())
 }
 
 // at returns sender from's stream, creating it on first use (a shard only
 // ever consults the streams of the nodes it hosts).
 func (s *senderRands) at(from int) *Rand {
-	for from >= len(s.rngs) {
-		s.rngs = append(s.rngs, nil)
-	}
 	if s.rngs[from] == nil {
-		s.rngs[from] = NewRand(DeriveSeed(s.seed, uint64(from)))
+		s.rngs[from] = NewRand(s.seeds[from])
 	}
 	return s.rngs[from]
 }
@@ -391,7 +390,8 @@ type FaultEvent struct {
 	Delay int // extra rounds for delay events
 }
 
-// FaultObserver receives every fault event of a run (see trace.FaultLog).
+// FaultObserver receives every fault event of a run (cmd/electsim's
+// FaultLog counts them).
 type FaultObserver interface {
 	OnFault(ev FaultEvent)
 }

@@ -451,6 +451,33 @@ func TestFaultFatesKeyedPerSender(t *testing.T) {
 	}
 }
 
+// At Reset seed 9966146, senders 11 and 13 get DeriveSeed values with one
+// residue mod 2³¹−1, so without the node-stream rule they would draw one
+// stream of fates. The rule re-derives sender 13.
+func TestSenderStreamCollisionRederived(t *testing.T) {
+	const seed = 9966146
+	if seedResidue(DeriveSeed(seed, 11)) != seedResidue(DeriveSeed(seed, 13)) {
+		t.Fatal("premise: senders 11 and 13 have distinct residues")
+	}
+	g, err := graph.Clique(16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &Delay{Max: 1000}
+	d.Reset(seed, g)
+	same := 0
+	for k := 0; k < 64; k++ {
+		a, _ := d.Fate(0, 11, 0)
+		b, _ := d.Fate(0, 13, 0)
+		if a == b {
+			same++
+		}
+	}
+	if same == 64 {
+		t.Fatal("senders 11 and 13 drew the same delay on all 64 sends")
+	}
+}
+
 // The remote gate admits exactly the shard-safe planes and still rejects
 // message budgets.
 func TestValidateRemoteShardSafety(t *testing.T) {

@@ -16,10 +16,12 @@ type Rand = rand.Rand
 
 // NewRand returns a deterministic Rand for the given seed: bit for bit the
 // stream of rand.New(rand.NewSource(seed)), from a source that computes
-// each seeded state word only on the draw that first reads it, so a stream
-// read a few times costs a few words, not math/rand's 607. If the
-// init-time derivation of math/rand's seeding table failed (a toolchain
-// whose source no longer matches), it falls back to rand.NewSource.
+// each seeded state word only on the draw that first reads it and
+// allocates math/rand's 607-word state only on draw 274, the first draw
+// that reads a word an earlier draw wrote. A stream drawn at most 273
+// times costs about 96 bytes, not 5,424. If the init-time derivation of
+// math/rand's seeding table failed (a toolchain whose source no longer
+// matches), it falls back to rand.NewSource.
 func NewRand(seed int64) *Rand {
 	if !lazyOK {
 		return rand.New(rand.NewSource(seed))
@@ -181,20 +183,25 @@ func deriveSeedTables() bool {
 	return true
 }
 
-// lazySource is math/rand's source with lazy seeding. In its first 334
-// draws after Seed, draw k adds the words at feed = 334−k and, up to draw
-// 273, tap = 607−k; each of those still holds its seeded value, so the
-// draw computes it then. By draw 334 every word has been computed, and
-// the plain lagged-Fibonacci step takes over.
+// lazySource is math/rand's source with lazy seeding and a deferred state
+// array. Draw k after Seed adds the words at feed = 334−k and tap = 607−k.
+// Through draw 273 both still hold their seeded values, so the draw
+// computes them and stores nothing. Draw 274 reads tap 333, which draw 1
+// wrote: it allocates vec (or reuses the one a reseeded stream holds),
+// fills the taps 334–606 with their seeded words and replays draws 1–273
+// into feeds 333–61. Through draw 334 a feed word is still seeded and is
+// computed when read; from draw 335 the plain lagged-Fibonacci step takes
+// over.
 type lazySource struct {
 	residue uint64
 	drawn   int // draws since Seed, counted up to rngFeed
 	tap     int
 	feed    int
-	vec     [rngLen]int64
+	vec     *[rngLen]int64 // nil until draw 274
 }
 
-// Seed implements rand.Source; it restarts the lazy phase.
+// Seed implements rand.Source; it restarts the lazy phase and keeps an
+// allocated state array for reuse.
 func (s *lazySource) Seed(seed int64) {
 	s.residue = seedResidue(seed)
 	s.drawn = 0
@@ -224,13 +231,30 @@ func (s *lazySource) Uint64() uint64 {
 // seededDraw is one draw of the lazy phase.
 func (s *lazySource) seededDraw() uint64 {
 	s.drawn++
-	s.tap, s.feed = rngLen-s.drawn, rngFeed-s.drawn
 	if s.drawn <= rngTap {
-		s.vec[s.tap] = s.word(s.tap)
+		return uint64(s.word(rngFeed-s.drawn) + s.word(rngLen-s.drawn))
 	}
+	if s.drawn == rngTap+1 {
+		s.materialize()
+	}
+	s.tap, s.feed = rngLen-s.drawn, rngFeed-s.drawn
 	x := s.word(s.feed) + s.vec[s.tap]
 	s.vec[s.feed] = x
 	return uint64(x)
+}
+
+// materialize gives the stream its state array as draws 1–273 would have
+// left it: seeded taps 334–606, and feeds 333–61 holding those draws.
+func (s *lazySource) materialize() {
+	if s.vec == nil {
+		s.vec = new([rngLen]int64)
+	}
+	for i := rngFeed; i < rngLen; i++ {
+		s.vec[i] = s.word(i)
+	}
+	for k := 1; k <= rngTap; k++ {
+		s.vec[rngFeed-k] = s.word(rngFeed-k) + s.vec[rngLen-k]
+	}
 }
 
 // word is state word i as Seed would have left it.

@@ -83,6 +83,72 @@ func TestNewRandMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestNewRandDeferredState checks lazySource itself (not NewRand, which
+// would fall back to math/rand) across the draws where its state array is
+// built: every Uint64 draw 1–1,214 on the edge seeds, and the same after
+// Seed at draw 273 (no array yet), 274 (just built) and 335 (in the plain
+// step), each reseeding to the next seed.
+func TestNewRandDeferredState(t *testing.T) {
+	const draws = 2 * rngLen
+	seeds := exactSeeds()
+	lazy := func(seed int64) *lazySource {
+		s := new(lazySource)
+		s.Seed(seed)
+		return s
+	}
+	for i, seed := range seeds {
+		want, got := rand.NewSource(seed).(rand.Source64), lazy(seed)
+		for k := 1; k <= draws; k++ {
+			if w, g := want.Uint64(), got.Uint64(); w != g {
+				t.Fatalf("seed %d draw %d: math/rand %d, lazySource %d", seed, k, w, g)
+			}
+		}
+		for _, at := range []int{rngTap, rngTap + 1, rngFeed + 1} {
+			want, got := rand.NewSource(seed).(rand.Source64), lazy(seed)
+			for k := 0; k < at; k++ {
+				want.Uint64()
+				got.Uint64()
+			}
+			reseed := seeds[(i+1)%len(seeds)]
+			want.Seed(reseed)
+			got.Seed(reseed)
+			for k := 1; k <= draws; k++ {
+				if w, g := want.Uint64(), got.Uint64(); w != g {
+					t.Fatalf("seed %d reseeded to %d at draw %d: draw %d: math/rand %d, lazySource %d",
+						seed, reseed, at, k, w, g)
+				}
+			}
+		}
+	}
+}
+
+// TestNewRandStateBudget checks what a stream costs: NewRand plus 273
+// draws allocates no state array, and draw 274 allocates exactly one.
+func TestNewRandStateBudget(t *testing.T) {
+	if !lazyOK {
+		t.Skip("NewRand uses rand.NewSource")
+	}
+	cost := func(draws int) testing.BenchmarkResult {
+		return testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r := NewRand(DeriveSeed(3, uint64(i)))
+				for j := 0; j < draws; j++ {
+					randSink += r.Uint64()
+				}
+				randKeep = r
+			}
+		})
+	}
+	lazy, built := cost(rngTap), cost(rngTap+1)
+	if b := lazy.AllocedBytesPerOp(); b > 128 {
+		t.Errorf("NewRand plus %d draws: %d B/op, want at most 128", rngTap, b)
+	}
+	if a, b := lazy.AllocsPerOp(), built.AllocsPerOp(); b != a+1 {
+		t.Errorf("allocs/op: %d with %d draws, %d with %d; want exactly one more", a, rngTap, b, rngTap+1)
+	}
+}
+
 // TestNewRandFastPath fails when the init-time derivation of math/rand's
 // seeding table did not reproduce math/rand, so NewRand fell back to
 // rand.NewSource (correct streams, at the old seeding cost).
@@ -166,7 +232,10 @@ func TestNodeSeedsResiduesDistinct(t *testing.T) {
 	}
 }
 
-var randSink uint64
+var (
+	randSink uint64
+	randKeep *Rand
+)
 
 // BenchmarkNewRand compares a NewRand stream with a math/rand one, seeded
 // and then drawn 4 times (a node's id and a coin or two, or a fault

@@ -93,8 +93,7 @@ type Config struct {
 	// LeanMetrics drops the per-kind accounting from the send hot path:
 	// Metrics.ByKind stays empty and the transport does no map writes or
 	// Kind() string work per message. The experiment harness enables it
-	// for bulk trial runs; per-kind counts remain available as an opt-in
-	// observer (trace.KindCounter).
+	// for bulk trial runs; an Observer can still count kinds.
 	LeanMetrics bool
 
 	// DebugFrom stamps the sender's node index on delivered envelopes.
