@@ -2,11 +2,12 @@
 // `go test -bench` output and compares every benchmark against the
 // committed baseline (BENCH_seed.json), failing when a hot path regresses
 // beyond tolerance — ns/op by a generous relative margin (wall time is
-// noisy across machines), allocs/op by a tight one (allocation counts are
-// nearly deterministic for a fixed toolchain; single-iteration runs jitter
-// by a handful of allocs, so the default tolerance is 1%, not 0). Repeated
-// lines of one benchmark (go test -count N) fold into their median, field
-// by field, both when comparing and when writing a baseline.
+// noisy across machines), allocs/op and B/op by a tight one (allocation
+// counts and bytes are nearly deterministic for a fixed toolchain;
+// single-iteration runs jitter by a handful of allocs, so the default
+// tolerance is 1%, not 0). Repeated lines of one benchmark (go test -count
+// N) fold into their median, field by field, both when comparing and when
+// writing a baseline.
 //
 // Compare (the CI path):
 //
@@ -71,7 +72,7 @@ func run() error {
 		baselinePath = flag.String("baseline", "BENCH_seed.json", "committed baseline JSON")
 		benchPath    = flag.String("bench", "-", "go test -bench output to check (\"-\" = stdin)")
 		nsTol        = flag.Float64("ns-tol", 0.25, "relative ns/op regression tolerance (0.25 = +25%)")
-		allocsTol    = flag.Float64("allocs-tol", 0.01, "relative allocs/op regression tolerance (default 1%: benchtime=1x runs jitter by a handful of allocs; real hot-path regressions are orders of magnitude larger)")
+		allocsTol    = flag.Float64("allocs-tol", 0.01, "relative allocs/op and B/op regression tolerance (default 1%: benchtime=1x runs jitter by a handful of allocs and at most about 1% in bytes; real hot-path regressions are orders of magnitude larger)")
 		tolerance    = flag.Float64("tolerance", 0.01, "alias for -allocs-tol, the gate's tight margin; takes precedence when set explicitly")
 		allowMissing = flag.Bool("allow-missing", false, "tolerate baseline benchmarks absent from the run (partial -bench filters)")
 		writePath    = flag.String("write", "", "re-baseline: write this JSON from the run instead of comparing")
@@ -122,14 +123,14 @@ func run() error {
 		// Name the measured margin, not just the verdict: a gate tripped
 		// by +1.2% against a 1% tolerance reads very differently from one
 		// tripped by +300% — or by a benchmark that never ran at all.
-		msg := fmt.Sprintf("%d regression(s) against %s — worst ns/op %+.1f%% (tolerance +%.0f%%), worst allocs/op %+.1f%% (tolerance +%.1f%%)",
-			regressions, *baselinePath, worst.ns*100, *nsTol*100, worst.allocs*100, *allocsTol*100)
+		msg := fmt.Sprintf("%d regression(s) against %s — worst ns/op %+.1f%% (tolerance +%.0f%%), worst allocs/op %+.1f%% and B/op %+.1f%% (tolerance +%.1f%%)",
+			regressions, *baselinePath, worst.ns*100, *nsTol*100, worst.allocs*100, worst.bytes*100, *allocsTol*100)
 		if worst.missing > 0 {
 			msg += fmt.Sprintf(", %d baseline benchmark(s) missing from the run", worst.missing)
 		}
 		return fmt.Errorf("%s; re-baseline with -write if intentional, see README", msg)
 	}
-	fmt.Printf("benchcmp: ok — %d benchmarks within tolerance (ns/op +%.0f%%, allocs/op +%.0f%%)\n",
+	fmt.Printf("benchcmp: ok — %d benchmarks within tolerance (ns/op +%.0f%%, allocs/op and B/op +%.0f%%)\n",
 		len(base.Entries), *nsTol*100, *allocsTol*100)
 	return nil
 }
@@ -317,6 +318,7 @@ func loadBaseline(path string) (*Baseline, error) {
 type worstDeltas struct {
 	ns      float64
 	allocs  float64
+	bytes   float64
 	missing int // baseline benchmarks absent from the run
 }
 
@@ -356,30 +358,47 @@ func compare(base *Baseline, run *Run, nsTol, allocsTol float64, allowMissing bo
 			}
 			notes = append(notes, fmt.Sprintf("ns/op %+.1f%%", delta*100))
 		}
-		if b.AllocsPerOp >= 0 && cur.AllocsPerOp < 0 {
-			// The baseline gates allocations but this run did not measure
-			// them — letting that pass silently would drop the gate's
-			// tightest signal.
+		// The memory gates share the tight tolerance.
+		mem := []struct {
+			unit      string
+			base, cur float64
+			worst     *float64
+		}{
+			{"allocs/op", b.AllocsPerOp, cur.AllocsPerOp, &worst.allocs},
+			{"B/op", b.BPerOp, cur.BPerOp, &worst.bytes},
+		}
+		var unmeasured []string
+		for _, g := range mem {
+			if g.base >= 0 && g.cur < 0 {
+				unmeasured = append(unmeasured, g.unit)
+			}
+		}
+		if len(unmeasured) > 0 {
+			// The baseline gates memory but this run did not measure it —
+			// letting that pass silently would drop the gate's tightest
+			// signal.
 			status = "FAIL"
 			regressions++
-			notes = append(notes, "allocs/op unmeasured (run without -benchmem?)")
+			notes = append(notes, strings.Join(unmeasured, " and ")+" unmeasured (run without -benchmem?)")
 		}
-		if b.AllocsPerOp >= 0 && cur.AllocsPerOp >= 0 {
+		for _, g := range mem {
+			if g.base < 0 || g.cur < 0 {
+				continue
+			}
 			delta := 0.0
-			if b.AllocsPerOp > 0 {
-				delta = cur.AllocsPerOp/b.AllocsPerOp - 1
-			} else if cur.AllocsPerOp > 0 {
+			if g.base > 0 {
+				delta = g.cur/g.base - 1
+			} else if g.cur > 0 {
 				delta = 1
 			}
-			if delta > worst.allocs {
-				worst.allocs = delta
+			if delta > *g.worst {
+				*g.worst = delta
 			}
 			if delta > allocsTol {
 				status = "FAIL"
 				regressions++
 			}
-			notes = append(notes, fmt.Sprintf("allocs/op %+.1f%% (%.0f -> %.0f)",
-				delta*100, b.AllocsPerOp, cur.AllocsPerOp))
+			notes = append(notes, fmt.Sprintf("%s %+.1f%% (%.0f -> %.0f)", g.unit, delta*100, g.base, g.cur))
 		}
 		fmt.Fprintf(&sb, "  %-4s  %-38s %s\n", status, b.Name, strings.Join(notes, ", "))
 	}

@@ -245,3 +245,52 @@ func TestCompareWorstDeltas(t *testing.T) {
 		t.Fatalf("worst allocs delta %.3f, want ~0.12", worst.allocs)
 	}
 }
+
+// B/op gates like allocs/op, at the same tolerance.
+func TestCompareBytes(t *testing.T) {
+	base := baselineOf(
+		Entry{Name: "BenchmarkA", NsPerOp: 1000, AllocsPerOp: 100, BPerOp: 5000},
+		Entry{Name: "BenchmarkB", NsPerOp: 1000, AllocsPerOp: 100, BPerOp: -1},
+	)
+	// +2% B/op with allocs unchanged fails at a 1% tolerance...
+	rep, n, worst := compare(base, runOf(
+		Entry{Name: "BenchmarkA", NsPerOp: 1000, AllocsPerOp: 100, BPerOp: 5100},
+		Entry{Name: "BenchmarkB", NsPerOp: 1000, AllocsPerOp: 100, BPerOp: 9999},
+	), 0.25, 0.01, false)
+	if n != 1 || !strings.Contains(rep, "FAIL  BenchmarkA") || !strings.Contains(rep, "B/op +2.0% (5000 -> 5100)") {
+		t.Fatalf("B/op regression not flagged (n=%d):\n%s", n, rep)
+	}
+	if worst.bytes < 0.019 || worst.bytes > 0.021 || worst.allocs != 0 {
+		t.Fatalf("worst B/op delta %.3f, allocs %.3f, want ~0.02 and 0", worst.bytes, worst.allocs)
+	}
+	// ...passes within it, and a baseline without B/op gates none.
+	_, n, _ = compare(base, runOf(
+		Entry{Name: "BenchmarkA", NsPerOp: 1000, AllocsPerOp: 100, BPerOp: 5040},
+		Entry{Name: "BenchmarkB", NsPerOp: 1000, AllocsPerOp: 100, BPerOp: 9999},
+	), 0.25, 0.01, false)
+	if n != 0 {
+		t.Fatalf("B/op within tolerance flagged: n=%d", n)
+	}
+	// A zero baseline gates any growth.
+	_, n, _ = compare(baselineOf(Entry{Name: "BenchmarkZ", NsPerOp: 1, AllocsPerOp: 0, BPerOp: 0}),
+		runOf(Entry{Name: "BenchmarkZ", NsPerOp: 1, AllocsPerOp: 0, BPerOp: 8}), 0.25, 0.01, false)
+	if n != 1 {
+		t.Fatalf("B/op growth from zero not flagged: n=%d", n)
+	}
+}
+
+// A run without B/op against a baseline that has it fails, even with
+// allocs/op measured and unchanged.
+func TestCompareBytesUnmeasured(t *testing.T) {
+	base := baselineOf(
+		Entry{Name: "BenchmarkA", NsPerOp: 1000, AllocsPerOp: 100, BPerOp: 5000},
+		Entry{Name: "BenchmarkB", NsPerOp: 1000, AllocsPerOp: 100, BPerOp: -1},
+	)
+	rep, n, _ := compare(base, runOf(
+		Entry{Name: "BenchmarkA", NsPerOp: 1000, AllocsPerOp: 100, BPerOp: -1},
+		Entry{Name: "BenchmarkB", NsPerOp: 1000, AllocsPerOp: 100, BPerOp: -1},
+	), 0.25, 0.01, false)
+	if n != 1 || !strings.Contains(rep, "B/op unmeasured") {
+		t.Fatalf("run without B/op not flagged (n=%d):\n%s", n, rep)
+	}
+}

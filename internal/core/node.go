@@ -187,7 +187,7 @@ func (nd *node) beginPhase(ctx *sim.Context, p int) {
 // handle in the node's outbox.
 func (nd *node) addTree(origin protocol.ID, phase, parentPort int, isRoot bool) *tree {
 	tr := newTree(phase, parentPort, isRoot)
-	tr.h = nd.outbox.NewHandle()
+	tr.h = nd.outbox.NewHandle(origin)
 	i := sort.Search(len(nd.origins), func(i int) bool { return nd.origins[i] >= origin })
 	nd.origins = append(nd.origins, 0)
 	copy(nd.origins[i+1:], nd.origins[i:])
@@ -270,7 +270,7 @@ func (nd *node) sendFinalOwnTree(ctx *sim.Context) {
 	}
 	tr.finalDown = true
 	for _, port := range tr.children {
-		nd.outbox.PushDown(port, tr.h, nd.id, tr.phase, protocol.DownFinal, nil)
+		nd.outbox.PushDown(port, tr.h, tr.phase, protocol.DownFinal, nil)
 	}
 }
 
@@ -304,7 +304,7 @@ func (nd *node) registerProxy(ctx *sim.Context, origin protocol.ID, tr *tree, co
 		pDelta = 1
 	}
 	if dDelta != 0 || pDelta != 0 {
-		nd.pushUpX1(ctx, origin, tr, nil, dDelta, pDelta)
+		nd.pushUpX1(ctx, tr, nil, dDelta, pDelta)
 	}
 	if was != 0 {
 		return
@@ -321,31 +321,31 @@ func (nd *node) registerProxy(ctx *sim.Context, origin protocol.ID, tr *tree, co
 			continue
 		}
 		nd.scrOne[0] = other
-		nd.pushUpX1(ctx, origin, tr, nd.scrOne[:1], 0, 0)
+		nd.pushUpX1(ctx, tr, nd.scrOne[:1], 0, 0)
 		nd.scrOne[0] = origin
-		nd.pushUpX1(ctx, other, otr, nd.scrOne[:1], 0, 0)
+		nd.pushUpX1(ctx, otr, nd.scrOne[:1], 0, 0)
 		i3 = append(i3, otr.storedI2.List...)
 	}
 	// I3 snapshot: everything this node has stored from I2 floods.
 	i3 = append(i3, tr.storedI2.List...)
 	if len(i3) > 0 {
 		slices.Sort(i3)
-		nd.pushUpX3(ctx, origin, tr, i3)
+		nd.pushUpX3(tr, i3)
 	}
 	nd.scrI3 = i3[:0]
 }
 
 // pushUpX1 routes exchange-round-1 data one hop toward the origin, or
 // consumes it at the root.
-func (nd *node) pushUpX1(ctx *sim.Context, origin protocol.ID, tr *tree, ids []protocol.ID, dDelta, pDelta int) {
+func (nd *node) pushUpX1(ctx *sim.Context, tr *tree, ids []protocol.ID, dDelta, pDelta int) {
 	if tr.isRoot {
 		nd.rootConsumeX1(ctx, ids, dDelta, pDelta)
 		return
 	}
-	nd.outbox.PushUp(tr.parentPort, tr.h, origin, tr.phase, protocol.UpX1, ids, dDelta, pDelta)
+	nd.outbox.PushUp(tr.parentPort, tr.h, tr.phase, protocol.UpX1, ids, dDelta, pDelta)
 }
 
-func (nd *node) pushUpX3(ctx *sim.Context, origin protocol.ID, tr *tree, ids []protocol.ID) {
+func (nd *node) pushUpX3(tr *tree, ids []protocol.ID) {
 	if tr.isRoot {
 		for _, id := range ids {
 			if id > nd.i4max {
@@ -354,7 +354,7 @@ func (nd *node) pushUpX3(ctx *sim.Context, origin protocol.ID, tr *tree, ids []p
 		}
 		return
 	}
-	nd.outbox.PushUp(tr.parentPort, tr.h, origin, tr.phase, protocol.UpX3, ids, 0, 0)
+	nd.outbox.PushUp(tr.parentPort, tr.h, tr.phase, protocol.UpX3, ids, 0, 0)
 }
 
 // rootConsumeX1 folds exchange-round-1 data into the contender's
@@ -381,7 +381,7 @@ func (nd *node) rootConsumeX1(ctx *sim.Context, ids []protocol.ID, dDelta, pDelt
 		}
 	}
 	if len(fresh) > 0 && tr != nil && tr.isRoot {
-		nd.relayDownX2(ctx, nd.id, tr, fresh)
+		nd.relayDownX2(ctx, tr, fresh)
 	}
 	nd.scrRoot = fresh[:0]
 }
@@ -389,7 +389,7 @@ func (nd *node) rootConsumeX1(ctx *sim.Context, ids []protocol.ID, dDelta, pDelt
 // relayDownX2 floods I2 id fragments down a tree, records them for
 // late-arriving children, and — when this node is itself a proxy of the
 // origin — stores them (triggering I3 pushes on every proxied tree).
-func (nd *node) relayDownX2(ctx *sim.Context, origin protocol.ID, tr *tree, ids []protocol.ID) {
+func (nd *node) relayDownX2(ctx *sim.Context, tr *tree, ids []protocol.ID) {
 	fresh := nd.scrRelay[:0]
 	for _, id := range ids {
 		if tr.downX2.Add(id) {
@@ -401,7 +401,7 @@ func (nd *node) relayDownX2(ctx *sim.Context, origin protocol.ID, tr *tree, ids 
 		return
 	}
 	for _, port := range tr.children {
-		nd.outbox.PushDown(port, tr.h, origin, tr.phase, protocol.DownX2, fresh)
+		nd.outbox.PushDown(port, tr.h, tr.phase, protocol.DownX2, fresh)
 	}
 	if tr.proxyCount > 0 {
 		nd.storeI2(ctx, tr, fresh)
@@ -424,12 +424,11 @@ func (nd *node) storeI2(ctx *sim.Context, tr *tree, ids []protocol.ID) {
 		return
 	}
 	round := ctx.Round()
-	for i, origin := range nd.origins {
-		otr := nd.treev[i]
+	for _, otr := range nd.treev {
 		if otr.proxyCount == 0 || !nd.alive(otr, round) {
 			continue
 		}
-		nd.pushUpX3(ctx, origin, otr, fresh)
+		nd.pushUpX3(otr, fresh)
 	}
 	nd.scrStore = fresh[:0]
 }
@@ -442,9 +441,9 @@ func (nd *node) onUp(ctx *sim.Context, m *protocol.UpMsg) {
 	}
 	switch m.Stage {
 	case protocol.UpX1:
-		nd.pushUpX1(ctx, m.Origin, tr, m.IDs, m.DDelta, m.PDelta)
+		nd.pushUpX1(ctx, tr, m.IDs, m.DDelta, m.PDelta)
 	case protocol.UpX3:
-		nd.pushUpX3(ctx, m.Origin, tr, m.IDs)
+		nd.pushUpX3(tr, m.IDs)
 	case protocol.UpWinner:
 		var winID protocol.ID
 		if len(m.IDs) > 0 {
@@ -455,7 +454,7 @@ func (nd *node) onUp(ctx *sim.Context, m *protocol.UpMsg) {
 			nd.rootWinnerReceipt(ctx, winID)
 			return
 		}
-		nd.outbox.PushUp(tr.parentPort, tr.h, m.Origin, tr.phase, protocol.UpWinner, m.IDs, 0, 0)
+		nd.outbox.PushUp(tr.parentPort, tr.h, tr.phase, protocol.UpWinner, m.IDs, 0, 0)
 	default:
 		nd.staleDrops++
 	}
@@ -472,10 +471,10 @@ func (nd *node) rootWinnerReceipt(ctx *sim.Context, winID protocol.ID) {
 	if tr == nil || !tr.isRoot {
 		return
 	}
-	nd.floodWinnerDown(ctx, nd.id, tr, winID)
+	nd.floodWinnerDown(tr, winID)
 }
 
-func (nd *node) floodWinnerDown(ctx *sim.Context, origin protocol.ID, tr *tree, winID protocol.ID) {
+func (nd *node) floodWinnerDown(tr *tree, winID protocol.ID) {
 	if tr.winnerDown {
 		return
 	}
@@ -483,7 +482,7 @@ func (nd *node) floodWinnerDown(ctx *sim.Context, origin protocol.ID, tr *tree, 
 	tr.winnerID = winID
 	for _, port := range tr.children {
 		nd.scrOne[0] = winID
-		nd.outbox.PushDown(port, tr.h, origin, tr.phase, protocol.DownWinner, nd.scrOne[:1])
+		nd.outbox.PushDown(port, tr.h, tr.phase, protocol.DownWinner, nd.scrOne[:1])
 	}
 }
 
@@ -495,13 +494,13 @@ func (nd *node) onDown(ctx *sim.Context, m *protocol.DownMsg) {
 	}
 	switch m.Op {
 	case protocol.DownX2:
-		nd.relayDownX2(ctx, m.Origin, tr, m.IDs)
+		nd.relayDownX2(ctx, tr, m.IDs)
 	case protocol.DownFinal:
 		tr.final = true
 		if !tr.finalDown {
 			tr.finalDown = true
 			for _, port := range tr.children {
-				nd.outbox.PushDown(port, tr.h, m.Origin, tr.phase, protocol.DownFinal, nil)
+				nd.outbox.PushDown(port, tr.h, tr.phase, protocol.DownFinal, nil)
 			}
 		}
 	case protocol.DownWinner:
@@ -510,7 +509,7 @@ func (nd *node) onDown(ctx *sim.Context, m *protocol.DownMsg) {
 			winID = m.IDs[0]
 		}
 		nd.noteWin(ctx, winID)
-		nd.floodWinnerDown(ctx, m.Origin, tr, winID)
+		nd.floodWinnerDown(tr, winID)
 		nd.proxyWinnerReceipt(ctx, winID)
 	default:
 		nd.staleDrops++
@@ -535,8 +534,7 @@ func (nd *node) proxyWinnerReceipt(ctx *sim.Context, winID protocol.ID) {
 		return
 	}
 	nd.winProxyDone = true
-	for i, origin := range nd.origins {
-		tr := nd.treev[i]
+	for _, tr := range nd.treev {
 		if tr.proxyCount == 0 || !nd.alive(tr, round) {
 			continue
 		}
@@ -545,7 +543,7 @@ func (nd *node) proxyWinnerReceipt(ctx *sim.Context, winID protocol.ID) {
 			continue
 		}
 		nd.scrOne[0] = winID
-		nd.outbox.PushUp(tr.parentPort, tr.h, origin, tr.phase, protocol.UpWinner, nd.scrOne[:1], 0, 0)
+		nd.outbox.PushUp(tr.parentPort, tr.h, tr.phase, protocol.UpWinner, nd.scrOne[:1], 0, 0)
 	}
 }
 
@@ -562,8 +560,8 @@ func (nd *node) stepTokens(ctx *sim.Context) {
 				nd.staleDrops++
 				return
 			}
-			nd.noteChild(ctx, origin, tr, port)
-			nd.outbox.PushToken(port, origin, phase, remaining, count)
+			nd.noteChild(tr, port)
+			nd.outbox.PushToken(port, tr.h, phase, remaining, count)
 		},
 		func(origin protocol.ID, phase, count int) {
 			tr := nd.tree(origin)
@@ -577,22 +575,22 @@ func (nd *node) stepTokens(ctx *sim.Context) {
 
 // noteChild records a downcast child and replicates the down-flood prefix
 // (I2 ids, FINAL, winner) that the new child would otherwise miss.
-func (nd *node) noteChild(ctx *sim.Context, origin protocol.ID, tr *tree, port int) {
+func (nd *node) noteChild(tr *tree, port int) {
 	if !tr.addChild(port) {
 		return
 	}
 	if tr.downX2.Len() > 0 {
 		ids := append(nd.scrChild[:0], tr.downX2.List...)
 		slices.Sort(ids)
-		nd.outbox.PushDown(port, tr.h, origin, tr.phase, protocol.DownX2, ids)
+		nd.outbox.PushDown(port, tr.h, tr.phase, protocol.DownX2, ids)
 		nd.scrChild = ids[:0]
 	}
 	if tr.finalDown {
-		nd.outbox.PushDown(port, tr.h, origin, tr.phase, protocol.DownFinal, nil)
+		nd.outbox.PushDown(port, tr.h, tr.phase, protocol.DownFinal, nil)
 	}
 	if tr.winnerDown {
 		nd.scrOne[0] = tr.winnerID
-		nd.outbox.PushDown(port, tr.h, origin, tr.phase, protocol.DownWinner, nd.scrOne[:1])
+		nd.outbox.PushDown(port, tr.h, tr.phase, protocol.DownWinner, nd.scrOne[:1])
 	}
 }
 
@@ -630,7 +628,7 @@ func (nd *node) evaluate(ctx *sim.Context) {
 			nd.leadRound = ctx.Round()
 			nd.winSeen = nd.id
 			if tr := nd.tree(nd.id); tr != nil && tr.isRoot {
-				nd.floodWinnerDown(ctx, nd.id, tr, nd.id)
+				nd.floodWinnerDown(tr, nd.id)
 			}
 			// The leader may itself proxy other contenders; notify them
 			// directly (it has "received" its own winner message).

@@ -9,12 +9,17 @@
 // The package also holds the performance substrate of the send hot path.
 // Under the CONGEST cap each id travels alone, so an election's cost is its
 // message count times the cost of one message, and the outbox keeps that
-// second factor small: merge slots are addressed by a per-tree Handle (an
-// index, no hashing), each queued fragment records its own slot, the port
-// and resend FIFOs are rings that reuse their storage under a standing
-// backlog, and a one-id fragment carries its id inline (one allocation, or
-// none from the pool). Per-edge id filtering lives where repeats arise:
-// the outbox filters convergecasts, which reach a node from several
+// second factor small. A queued message is a pointer-free value record in
+// a per-port ring that reuses its storage under a standing backlog; its
+// message object is built from the node's MsgPool only when Flush sends
+// it, so an object lives for one round (the flush, then the receiver's
+// Step, then back to a pool). Merge state (open fragments, queued token
+// batches) names records by their position in the port's queue, and a
+// per-tree Handle (an index, no hashing) finds it and names the record's
+// origin. A fragment's first id lives in its record; further ids, which
+// only modes above the CONGEST cap allow, live in a free-listed id buffer
+// the record names by index. Per-edge id filtering lives where repeats
+// arise: the outbox filters convergecasts, which reach a node from several
 // children; downcasts need no filter, because the caller's walk tree sends
 // each id to each child once per phase. Beside the outbox sit
 // allocation-lean id sets (FastSet for pure membership, TrackedSet when

@@ -55,7 +55,6 @@ type UpMsg struct {
 	Origin ID
 	Phase  int
 	Stage  UpStage
-	slot   Handle // the merge slot it holds open while queued in an Outbox
 	IDs    []ID
 	DDelta int // distinct-proxy count delta (X1 only)
 	PDelta int // proxy count delta (X1 only)
@@ -70,7 +69,6 @@ type DownMsg struct {
 	Origin ID
 	Phase  int
 	Op     DownOp
-	slot   Handle // as in UpMsg
 	IDs    []ID
 	Win    ID
 	bits   int

@@ -1,12 +1,12 @@
 package protocol
 
-// MsgPool recycles protocol message objects. An election allocates one
-// message object per accepted send on the hot path; with a pool, the
-// receiving node returns each object (and its IDs backing array) after
-// handling it, and its own outbox draws from the pool for the next sends.
-// Pools are strictly per-node: only the owning node's Step touches one, so
-// the concurrent execution mode needs no locking. Object identity never
-// carries protocol meaning, so pooling cannot change a run's behavior.
+// MsgPool recycles protocol message objects. An outbox builds one message
+// object per send, at flush time, and the object lives for one round: the
+// receiving node returns it (and its IDs backing array) to its own pool
+// after handling it, and its outbox draws from that pool for its next
+// flushes. Pools are strictly per-node: only the owning node's Step touches
+// one, so the concurrent execution mode needs no locking. Object identity
+// never carries protocol meaning, so pooling cannot change a run's behavior.
 //
 // Callers must only Put messages they have fully consumed: a pooled
 // message's fields and IDs array are overwritten on reuse.

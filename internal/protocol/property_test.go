@@ -56,10 +56,10 @@ func simulateUpPush(tb testing.TB, seed int64, codec *Codec, ids []ID, got map[I
 		if !loaded {
 			loaded = true
 			half := len(ids) / 2
-			h := ob.NewHandle()
-			ob.PushUp(0, h, 9, 1, UpX1, ids[:half], 1, 0)
-			ob.PushUp(0, h, 9, 1, UpX1, ids[half:], 0, 1)
-			ob.PushUp(0, h, 9, 1, UpX1, ids, 0, 0) // duplicates: must be filtered
+			h := ob.NewHandle(9)
+			ob.PushUp(0, h, 1, UpX1, ids[:half], 1, 0)
+			ob.PushUp(0, h, 1, UpX1, ids[half:], 0, 1)
+			ob.PushUp(0, h, 1, UpX1, ids, 0, 0) // duplicates: must be filtered
 		}
 		if err := ob.Flush(ctx, 0); err != nil {
 			return err
@@ -89,26 +89,24 @@ func simulateUpPush(tb testing.TB, seed int64, codec *Codec, ids []ID, got map[I
 // port, regardless of chunking and duplicate pushes (the filtering rule
 // must lose nothing and deliver nothing twice).
 func TestOutboxIDConservation(t *testing.T) {
-	for k := 1; k <= 40; k += 3 {
-		codec, err := NewCodec(64, ModeCongest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids := make([]ID, k)
-		for i := range ids {
-			ids[i] = ID(i + 1)
-		}
-		got := map[ID]int{}
-		simulateUpPush(t, int64(k), codec, ids, got)
-		if len(got) != len(ids) {
-			t.Fatalf("k=%d: %d distinct ids arrived, want %d", k, len(got), len(ids))
-		}
-		for _, id := range ids {
-			if got[id] != 1 {
-				t.Fatalf("k=%d: id %d arrived %d times", k, id, got[id])
+	bothModes(t, func(t *testing.T, codec *Codec) {
+		for k := 1; k <= 40; k += 3 {
+			ids := make([]ID, k)
+			for i := range ids {
+				ids[i] = ID(i + 1)
+			}
+			got := map[ID]int{}
+			simulateUpPush(t, int64(k), codec, ids, got)
+			if len(got) != len(ids) {
+				t.Fatalf("k=%d: %d distinct ids arrived, want %d", k, len(got), len(ids))
+			}
+			for _, id := range ids {
+				if got[id] != 1 {
+					t.Fatalf("k=%d: id %d arrived %d times", k, id, got[id])
+				}
 			}
 		}
-	}
+	})
 }
 
 // Property: Holder.Step conserves tokens over multi-round evolutions with

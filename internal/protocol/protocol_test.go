@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -355,17 +357,37 @@ func cliqueOf2(t *testing.T) *graph.Graph {
 	return g
 }
 
+// bothModes runs f as a subtest under each message mode: CONGEST, where
+// every fragment carries one id, and Lemma 12's large mode, where a
+// fragment's ids past the first live in an outbox-owned id buffer.
+func bothModes(t *testing.T, f func(t *testing.T, codec *Codec)) {
+	t.Helper()
+	for _, mode := range []Mode{ModeCongest, ModeLarge} {
+		t.Run(mode.String(), func(t *testing.T) {
+			codec, err := NewCodec(64, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f(t, codec)
+		})
+	}
+}
+
+// fragments is how many messages a push of k ids takes under codec.
+func fragments(codec *Codec, k int) int { return (k + codec.MaxIDs - 1) / codec.MaxIDs }
+
 func TestOutboxTokenMerge(t *testing.T) {
 	codec, err := NewCodec(64, ModeCongest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, got := runOutbox(t, codec, func(ob *Outbox) {
-		ob.PushToken(0, 9, 1, 5, 10)
-		ob.PushToken(0, 9, 1, 5, 7)  // merges: same origin/phase/remaining
-		ob.PushToken(0, 9, 1, 4, 3)  // different remaining: second message
-		ob.PushToken(0, 10, 1, 5, 2) // different origin: third message
-		ob.PushToken(0, 9, 1, 5, 0)  // no-op
+		h9, h10 := ob.NewHandle(9), ob.NewHandle(10)
+		ob.PushToken(0, h9, 1, 5, 10)
+		ob.PushToken(0, h9, 1, 5, 7)  // merges: same origin/phase/remaining
+		ob.PushToken(0, h9, 1, 4, 3)  // different remaining: second message
+		ob.PushToken(0, h10, 1, 5, 2) // different origin: third message
+		ob.PushToken(0, h9, 1, 5, 0)  // no-op
 	})
 	if m.Messages != 3 {
 		t.Fatalf("messages = %d, want 3 (merged batches)", m.Messages)
@@ -378,116 +400,144 @@ func TestOutboxTokenMerge(t *testing.T) {
 	if total != 22 {
 		t.Fatalf("token count = %d, want 22", total)
 	}
+	if got[2].Payload.(*TokenMsg).Origin != 10 {
+		t.Fatalf("third batch origin = %d, want 10 (named by its handle)", got[2].Payload.(*TokenMsg).Origin)
+	}
 }
 
 func TestOutboxUpMergeAndChunk(t *testing.T) {
-	codec, err := NewCodec(64, ModeCongest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]ID, 2*codec.MaxIDs+1)
-	for i := range ids {
-		ids[i] = ID(i + 1)
-	}
-	m, got := runOutbox(t, codec, func(ob *Outbox) {
-		h := ob.NewHandle()
-		ob.PushUp(0, h, 9, 1, UpX1, ids, 3, 1)
-		ob.PushUp(0, h, 9, 1, UpX1, nil, 2, 1) // deltas merge into open fragment
-		ob.PushUp(0, h, 9, 1, UpX1, []ID{1}, 0, 0)
+	bothModes(t, func(t *testing.T, codec *Codec) {
+		ids := make([]ID, 2*codec.MaxIDs+1)
+		for i := range ids {
+			ids[i] = ID(i + 1)
+		}
+		m, got := runOutbox(t, codec, func(ob *Outbox) {
+			h := ob.NewHandle(9)
+			ob.PushUp(0, h, 1, UpX1, ids, 3, 1)
+			ob.PushUp(0, h, 1, UpX1, nil, 2, 1) // deltas merge into open fragment
+			ob.PushUp(0, h, 1, UpX1, []ID{1}, 0, 0)
+		})
+		// ids need ceil((2k+1)/k) = 3 messages; duplicate id 1 is absorbed.
+		if m.Messages != 3 {
+			t.Fatalf("messages = %d, want 3", m.Messages)
+		}
+		seen := make(map[ID]int)
+		var d, p int
+		for _, env := range got {
+			up := env.Payload.(*UpMsg)
+			if len(up.IDs) > codec.MaxIDs {
+				t.Fatalf("fragment carries %d ids > limit %d", len(up.IDs), codec.MaxIDs)
+			}
+			if up.Origin != 9 || up.Phase != 1 || up.Stage != UpX1 {
+				t.Fatalf("fragment header %d/%d/%d, want 9/1/%d", up.Origin, up.Phase, up.Stage, UpX1)
+			}
+			for _, id := range up.IDs {
+				seen[id]++
+			}
+			d += up.DDelta
+			p += up.PDelta
+		}
+		if len(seen) != len(ids) {
+			t.Fatalf("saw %d distinct ids, want %d", len(seen), len(ids))
+		}
+		if d != 5 || p != 2 {
+			t.Fatalf("deltas d=%d p=%d, want 5,2", d, p)
+		}
 	})
-	// ids need ceil((2k+1)/k) = 3 messages; duplicate id 1 is absorbed.
-	if m.Messages != 3 {
-		t.Fatalf("messages = %d, want 3", m.Messages)
-	}
-	seen := make(map[ID]int)
-	var d, p int
-	for _, env := range got {
-		up := env.Payload.(*UpMsg)
-		if len(up.IDs) > codec.MaxIDs {
-			t.Fatalf("fragment carries %d ids > limit %d", len(up.IDs), codec.MaxIDs)
-		}
-		for _, id := range up.IDs {
-			seen[id]++
-		}
-		d += up.DDelta
-		p += up.PDelta
-	}
-	if len(seen) != len(ids) {
-		t.Fatalf("saw %d distinct ids, want %d", len(seen), len(ids))
-	}
-	if d != 5 || p != 2 {
-		t.Fatalf("deltas d=%d p=%d, want 5,2", d, p)
-	}
 }
 
 func TestOutboxDownDedupe(t *testing.T) {
-	codec, err := NewCodec(64, ModeCongest)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Downcast ids are not filtered here: the walk tree pushes each id to
 	// each child once per phase (TestNoEdgeCarriesAnIDTwice in
 	// internal/core checks that on whole elections).
-	m, got := runOutbox(t, codec, func(ob *Outbox) {
-		h := ob.NewHandle()
-		ob.PushDown(0, h, 9, 1, DownFinal, nil)
-		ob.PushDown(0, h, 9, 1, DownFinal, nil) // dedupes while queued
-		ob.PushDown(0, h, 9, 1, DownX2, []ID{4, 5})
-	})
-	want := int64(1 + (1+codec.MaxIDs)/codec.MaxIDs) // FINAL + ceil(2/MaxIDs) X2 fragments
-	if m.Messages != want {
-		t.Fatalf("messages = %d, want %d", m.Messages, want)
-	}
-	seen := map[ID]int{}
-	for _, env := range got {
-		if d, ok := env.Payload.(*DownMsg); ok && d.Op == DownX2 {
-			for _, id := range d.IDs {
-				seen[id]++
+	bothModes(t, func(t *testing.T, codec *Codec) {
+		m, got := runOutbox(t, codec, func(ob *Outbox) {
+			h := ob.NewHandle(9)
+			ob.PushDown(0, h, 1, DownFinal, nil)
+			ob.PushDown(0, h, 1, DownFinal, nil) // dedupes while queued
+			ob.PushDown(0, h, 1, DownX2, []ID{4, 5})
+		})
+		want := int64(1 + fragments(codec, 2)) // FINAL + the X2 fragments
+		if m.Messages != want {
+			t.Fatalf("messages = %d, want %d", m.Messages, want)
+		}
+		seen := map[ID]int{}
+		for _, env := range got {
+			if d, ok := env.Payload.(*DownMsg); ok && d.Op == DownX2 {
+				for _, id := range d.IDs {
+					seen[id]++
+				}
 			}
 		}
-	}
-	if len(seen) != 2 || seen[4] != 1 || seen[5] != 1 {
-		t.Fatalf("downcast ids = %v, want 4 and 5 once each", seen)
-	}
+		if len(seen) != 2 || seen[4] != 1 || seen[5] != 1 {
+			t.Fatalf("downcast ids = %v, want 4 and 5 once each", seen)
+		}
+	})
 }
 
-func TestOutboxNoMergeAfterSend(t *testing.T) {
-	// A message already transmitted must not be mutated by later pushes.
-	codec, err := NewCodec(64, ModeCongest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := cliqueOf2(t)
+// runSteps drives an outbox on a 2-clique: in its i-th step the sender
+// runs steps[i] and flushes, and it keeps flushing until nothing is owed.
+func runSteps(t *testing.T, codec *Codec, steps ...func(*Outbox)) (sim.Metrics, []sim.Envelope) {
+	t.Helper()
 	ob := NewOutbox(codec, 1)
 	step := 0
 	sender := &stepFunc{fn: func(ctx *sim.Context, inbox []sim.Envelope) error {
-		switch step {
-		case 0:
-			ob.PushToken(0, 9, 1, 5, 10)
-			if err := ob.Flush(ctx, 0); err != nil {
-				return err
-			}
-			ctx.WakeAt(ctx.Round() + 1)
-		case 1:
-			ob.PushToken(0, 9, 1, 5, 7) // must become a NEW message
-			if err := ob.Flush(ctx, 0); err != nil {
-				return err
-			}
+		if step < len(steps) {
+			steps[step](ob)
 		}
 		step++
+		if err := ob.Flush(ctx, 0); err != nil {
+			return err
+		}
+		if step < len(steps) || ob.Pending() > 0 {
+			ctx.WakeAt(ctx.Round() + 1)
+		}
 		return nil
 	}}
 	receiver := &flushProc{}
-	m, err := sim.Run(sim.Config{Graph: g, Seed: 1}, []sim.Process{sender, receiver})
+	m, err := sim.Run(sim.Config{Graph: cliqueOf2(t), Seed: 1, MaxMessageBits: codec.Cap()}, []sim.Process{sender, receiver})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Messages != 2 {
-		t.Fatalf("messages = %d, want 2 (no merge into sent message)", m.Messages)
-	}
-	if got := receiver.got[0].Payload.(*TokenMsg).Count; got != 10 {
-		t.Fatalf("first batch count = %d, want 10 (mutated after send?)", got)
-	}
+	return m, receiver.got
+}
+
+func TestOutboxNoMergeAfterSend(t *testing.T) {
+	// A message already transmitted must not be mutated by later pushes:
+	// neither a token batch's count nor a fragment's ids, whose id buffer
+	// the next fragment reuses once the first is sent.
+	bothModes(t, func(t *testing.T, codec *Codec) {
+		var h Handle
+		m, got := runSteps(t, codec,
+			func(ob *Outbox) {
+				h = ob.NewHandle(9)
+				ob.PushToken(0, h, 1, 5, 10)
+			},
+			func(ob *Outbox) {
+				ob.PushDown(0, h, 1, DownX2, []ID{4, 5})
+				ob.PushToken(0, h, 1, 5, 7) // must become a NEW message
+			},
+			func(ob *Outbox) {
+				// The first X2 fragment went out last round; these ids
+				// must not join it.
+				ob.PushDown(0, h, 1, DownX2, []ID{6, 7})
+			})
+		if want := int64(2 + 2*fragments(codec, 2)); m.Messages != want {
+			t.Fatalf("messages = %d, want %d (no merge into sent message)", m.Messages, want)
+		}
+		if got := got[0].Payload.(*TokenMsg).Count; got != 10 {
+			t.Fatalf("first batch count = %d, want 10 (mutated after send?)", got)
+		}
+		var ids []ID
+		for _, env := range got {
+			if d, ok := env.Payload.(*DownMsg); ok {
+				ids = append(ids, d.IDs...)
+			}
+		}
+		if !slices.Equal(ids, []ID{4, 5, 6, 7}) {
+			t.Fatalf("downcast ids in arrival order = %v, want [4 5 6 7]", ids)
+		}
+	})
 }
 
 type stepFunc struct {
@@ -497,26 +547,56 @@ type stepFunc struct {
 func (s *stepFunc) Step(ctx *sim.Context, inbox []sim.Envelope) error { return s.fn(ctx, inbox) }
 
 func TestOutboxWinnerStamp(t *testing.T) {
-	codec, err := NewCodec(64, ModeCongest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := cliqueOf2(t)
-	ob := NewOutbox(codec, 1)
-	sender := &stepFunc{fn: func(ctx *sim.Context, inbox []sim.Envelope) error {
-		if ctx.Round() == 0 {
-			ob.PushToken(0, 9, 1, 5, 1)
-			return ob.Flush(ctx, 777)
+	// Every kind is stamped with the winner id current at its flush, and a
+	// fragment's message is built whole: ids, bits, origin and phase.
+	bothModes(t, func(t *testing.T, codec *Codec) {
+		g := cliqueOf2(t)
+		ob := NewOutbox(codec, 1)
+		h := ob.NewHandle(9)
+		ob.PushToken(0, h, 1, 5, 1)
+		ob.PushUp(0, h, 1, UpX3, []ID{1, 2}, 0, 0)
+		ob.PushDown(0, h, 1, DownX2, []ID{3, 4})
+		sender := &stepFunc{fn: func(ctx *sim.Context, inbox []sim.Envelope) error {
+			if err := ob.Flush(ctx, ID(777+ctx.Round())); err != nil {
+				return err
+			}
+			if ob.Pending() > 0 {
+				ctx.WakeAt(ctx.Round() + 1)
+			}
+			return nil
+		}}
+		receiver := &flushProc{}
+		if _, err := sim.Run(sim.Config{Graph: g, Seed: 1, MaxMessageBits: codec.Cap()}, []sim.Process{sender, receiver}); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}}
-	receiver := &flushProc{}
-	if _, err := sim.Run(sim.Config{Graph: g, Seed: 1}, []sim.Process{sender, receiver}); err != nil {
-		t.Fatal(err)
-	}
-	if got := receiver.got[0].Payload.(*TokenMsg).Win; got != 777 {
-		t.Fatalf("winner stamp = %d, want 777", got)
-	}
+		if want := 1 + 2*fragments(codec, 2); len(receiver.got) != want {
+			t.Fatalf("%d messages arrived, want %d", len(receiver.got), want)
+		}
+		for i, env := range receiver.got {
+			var win ID
+			var ids []ID
+			switch m := env.Payload.(type) {
+			case *TokenMsg:
+				win = m.Win
+			case *UpMsg:
+				win, ids = m.Win, m.IDs
+				if m.Origin != 9 || m.Phase != 1 {
+					t.Fatalf("up header %d/%d, want 9/1", m.Origin, m.Phase)
+				}
+			case *DownMsg:
+				win, ids = m.Win, m.IDs
+				if m.Origin != 9 || m.Phase != 1 {
+					t.Fatalf("down header %d/%d, want 9/1", m.Origin, m.Phase)
+				}
+			}
+			if want := ID(777 + i); win != want {
+				t.Fatalf("message %d: winner stamp = %d, want %d", i, win, want)
+			}
+			if want := codec.msgBits(len(ids)); env.Payload.Bits() != want {
+				t.Fatalf("message %d: %d bits for %d ids, want %d", i, env.Payload.Bits(), len(ids), want)
+			}
+		}
+	})
 }
 
 func TestOutboxCongestOneMessagePerRound(t *testing.T) {
@@ -527,7 +607,7 @@ func TestOutboxCongestOneMessagePerRound(t *testing.T) {
 	}
 	m, _ := runOutbox(t, codec, func(ob *Outbox) {
 		for i := 0; i < 5; i++ {
-			ob.PushToken(0, ID(100+i), 1, 3, 1) // distinct origins: no merge
+			ob.PushToken(0, ob.NewHandle(ID(100+i)), 1, 3, 1) // distinct origins: no merge
 		}
 	})
 	if m.Messages != 5 {
@@ -536,4 +616,76 @@ func TestOutboxCongestOneMessagePerRound(t *testing.T) {
 	if m.FinalRound < 4 {
 		t.Fatalf("final round = %d; five fragments need five rounds on one port", m.FinalRound)
 	}
+}
+
+// A queued message is a value record: pushing thousands of one-id
+// downcasts onto one port allocates no message object, only ring growth.
+func TestOutboxQueuesValues(t *testing.T) {
+	codec, err := NewCodec(64, ModeCongest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pushes = 4096
+	ids := make([]ID, pushes)
+	for i := range ids {
+		ids[i] = ID(i + 1)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		ob := NewOutbox(codec, 1)
+		h := ob.NewHandle(9)
+		for i := range ids {
+			ob.PushDown(0, h, 1, DownX2, ids[i:i+1])
+		}
+		if ob.Pending() != pushes {
+			t.Fatalf("pending = %d, want %d", ob.Pending(), pushes)
+		}
+	})
+	if allocs >= 64 {
+		t.Fatalf("%v allocations to queue %d downcasts; queued messages must not be objects", allocs, pushes)
+	}
+}
+
+// The queued records hold no pointer, slice, map, string or interface, so
+// a standing backlog is invisible to the garbage collector's marking.
+func TestOutboxRecordsHoldNoPointers(t *testing.T) {
+	pq := reflect.TypeOf(portQ{})
+	for _, ring := range []string{"q", "resend"} {
+		f, ok := pq.FieldByName(ring)
+		if !ok {
+			t.Fatalf("portQ has no field %q", ring)
+		}
+		buf, ok := f.Type.FieldByName("buf")
+		if !ok {
+			t.Fatalf("portQ.%s has no buf", ring)
+		}
+		elem := buf.Type.Elem()
+		if path, ok := pointerFree(elem, elem.Name()); !ok {
+			t.Fatalf("portQ.%s queues %s, which holds a pointer at %s", ring, elem, path)
+		}
+	}
+	// Record width is what a backlog costs in bytes; an exact layout takes
+	// four words of values plus the handle and three tags.
+	if size := reflect.TypeOf(rec{}).Size(); size > 40 {
+		t.Fatalf("a queued record takes %d bytes, want at most 40", size)
+	}
+}
+
+// pointerFree reports whether values of t hold no pointer, and if they do,
+// the path to the first one.
+func pointerFree(t reflect.Type, path string) (string, bool) {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.String, reflect.Interface, reflect.Chan, reflect.Func:
+		return path, false
+	case reflect.Array:
+		return pointerFree(t.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if p, ok := pointerFree(f.Type, path+"."+f.Name); !ok {
+				return p, false
+			}
+		}
+	}
+	return "", true
 }

@@ -23,55 +23,63 @@ func runOutboxResend(t *testing.T, codec *Codec, resend int, load func(*Outbox))
 
 // Resend retransmits idempotent messages (downcasts, delta-free ups) the
 // configured number of extra times, after fresh traffic; token batches and
-// delta-carrying fragments go out exactly once.
+// delta-carrying fragments go out exactly once. A multi-id fragment keeps
+// its id buffer until its last retransmission.
 func TestOutboxResendIdempotentOnly(t *testing.T) {
-	codec, err := NewCodec(64, ModeCongest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, got := runOutboxResend(t, codec, 2, func(ob *Outbox) {
-		h := ob.NewHandle()
-		ob.PushDown(0, h, 9, 1, DownX2, []ID{4})   // idempotent: 1 + 2 resends
-		ob.PushUp(0, h, 9, 1, UpX1, nil, 3, 1)     // delta-carrying: exactly once
-		ob.PushToken(0, 9, 1, 5, 10)               // tokens: exactly once
-		ob.PushUp(0, h, 9, 1, UpX3, []ID{7}, 0, 0) // idempotent: 1 + 2 resends
-	})
-	// 2 idempotent messages * 3 transmissions + 2 one-shot messages.
-	if m.Messages != 8 {
-		t.Fatalf("messages = %d, want 8 (2*3 + 2)", m.Messages)
-	}
-	var downs, tokens, upX1, upX3 int
-	for _, env := range got {
-		switch msg := env.Payload.(type) {
-		case *DownMsg:
-			downs++
-			if len(msg.IDs) != 1 || msg.IDs[0] != 4 {
-				t.Fatalf("retransmitted down fragment corrupted: %+v", msg)
-			}
-		case *TokenMsg:
-			tokens++
-			if msg.Count != 10 {
-				t.Fatalf("token batch corrupted: %+v", msg)
-			}
-		case *UpMsg:
-			switch msg.Stage {
-			case UpX1:
-				upX1++
-				if msg.DDelta != 3 || msg.PDelta != 1 {
-					t.Fatalf("X1 deltas corrupted: %+v", msg)
+	bothModes(t, func(t *testing.T, codec *Codec) {
+		var ob *Outbox
+		m, got := runOutboxResend(t, codec, 2, func(o *Outbox) {
+			ob = o
+			h := ob.NewHandle(9)
+			ob.PushDown(0, h, 1, DownX2, []ID{4, 5})   // idempotent: 1 + 2 resends
+			ob.PushUp(0, h, 1, UpX1, nil, 3, 1)        // delta-carrying: exactly once
+			ob.PushToken(0, h, 1, 5, 10)               // tokens: exactly once
+			ob.PushUp(0, h, 1, UpX3, []ID{7, 8}, 0, 0) // idempotent: 1 + 2 resends
+		})
+		// Each idempotent fragment 3 times, plus the two one-shot messages.
+		if want := int64(3*2*fragments(codec, 2) + 2); m.Messages != want {
+			t.Fatalf("messages = %d, want %d", m.Messages, want)
+		}
+		downIDs, x3IDs := map[ID]int{}, map[ID]int{}
+		var tokens, upX1 int
+		for _, env := range got {
+			switch msg := env.Payload.(type) {
+			case *DownMsg:
+				for _, id := range msg.IDs {
+					downIDs[id]++
 				}
-			case UpX3:
-				upX3++
-				if len(msg.IDs) != 1 || msg.IDs[0] != 7 {
-					t.Fatalf("retransmitted X3 fragment corrupted: %+v", msg)
+			case *TokenMsg:
+				tokens++
+				if msg.Count != 10 {
+					t.Fatalf("token batch corrupted: %+v", msg)
+				}
+			case *UpMsg:
+				switch msg.Stage {
+				case UpX1:
+					upX1++
+					if msg.DDelta != 3 || msg.PDelta != 1 {
+						t.Fatalf("X1 deltas corrupted: %+v", msg)
+					}
+				case UpX3:
+					for _, id := range msg.IDs {
+						x3IDs[id]++
+					}
 				}
 			}
 		}
-	}
-	if downs != 3 || upX3 != 3 || upX1 != 1 || tokens != 1 {
-		t.Fatalf("transmissions: downs=%d upX3=%d upX1=%d tokens=%d, want 3/3/1/1",
-			downs, upX3, upX1, tokens)
-	}
+		if len(downIDs) != 2 || downIDs[4] != 3 || downIDs[5] != 3 {
+			t.Fatalf("downcast ids %v, want 4 and 5 three times each", downIDs)
+		}
+		if len(x3IDs) != 2 || x3IDs[7] != 3 || x3IDs[8] != 3 {
+			t.Fatalf("X3 ids %v, want 7 and 8 three times each", x3IDs)
+		}
+		if upX1 != 1 || tokens != 1 {
+			t.Fatalf("transmissions: upX1=%d tokens=%d, want 1/1", upX1, tokens)
+		}
+		if len(ob.free) != len(ob.bufs) {
+			t.Fatalf("%d of %d id buffers free after the last resend", len(ob.free), len(ob.bufs))
+		}
+	})
 }
 
 // With Resend = 0 (the default) nothing is duplicated: the pre-refactor
@@ -82,9 +90,9 @@ func TestOutboxResendOffByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := runOutboxResend(t, codec, 0, func(ob *Outbox) {
-		h := ob.NewHandle()
-		ob.PushDown(0, h, 9, 1, DownX2, []ID{4})
-		ob.PushUp(0, h, 9, 1, UpX3, []ID{7}, 0, 0)
+		h := ob.NewHandle(9)
+		ob.PushDown(0, h, 1, DownX2, []ID{4})
+		ob.PushUp(0, h, 1, UpX3, []ID{7}, 0, 0)
 	})
 	if m.Messages != 2 {
 		t.Fatalf("messages = %d, want 2", m.Messages)
@@ -101,13 +109,13 @@ func TestOutboxPendingIncludesResends(t *testing.T) {
 	g := cliqueOf2(t)
 	ob := NewOutbox(codec, 1)
 	ob.Resend = 1
-	h := ob.NewHandle()
+	h := ob.NewHandle(9)
 	loaded := false
 	flushes := 0
 	sender := processAdapter{fn: func(ctx *sim.Context, inbox []sim.Envelope) error {
 		if !loaded {
 			loaded = true
-			ob.PushDown(0, h, 9, 1, DownFinal, nil)
+			ob.PushDown(0, h, 1, DownFinal, nil)
 		}
 		if err := ob.Flush(ctx, 0); err != nil {
 			return err
@@ -139,14 +147,10 @@ func (p processAdapter) Step(ctx *sim.Context, inbox []sim.Envelope) error { ret
 // A standing backlog must reuse its FIFO's storage: a port that always has
 // messages waiting, as in every saturated round of an election, must not
 // grow its backing array with every message pushed. Both FIFOs hold a
-// steady backlog for thousands of rounds here, and their capacity must
-// stay within twice the peak backlog.
+// steady backlog for thousands of rounds here, and their capacity, and the
+// number of id buffers, must stay within twice the peak backlog.
 func TestOutboxBacklogStorageBounded(t *testing.T) {
 	const rounds, backlog = 4000, 16
-	codec, err := NewCodec(64, ModeCongest)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name   string
 		resend int
@@ -157,74 +161,83 @@ func TestOutboxBacklogStorageBounded(t *testing.T) {
 		held, capacity func(ob *Outbox) int
 	}{
 		{
-			// One more token batch each round (distinct origins never
-			// merge) against one send: the port queue never drains.
+			// One more token batch each round (distinct remaining counts
+			// never merge) against one send: the port queue never drains.
 			name: "port",
-			load: func(ob *Outbox, _ Handle, round int) {
+			load: func(ob *Outbox, h Handle, round int) {
 				n := 1
 				if round == 0 {
 					n = backlog
 				}
 				for i := 0; i < n; i++ {
-					ob.PushToken(0, ID(1000+round*backlog+i), 1, 3, 1)
+					ob.PushToken(0, h, 1, round*backlog+i, 1)
 				}
 			},
 			held:     func(ob *Outbox) int { return ob.pending },
 			capacity: func(ob *Outbox) int { return len(ob.ports[0].q.buf) },
 		},
 		{
-			// After a burst, one fresh downcast every other round: the
-			// fresh one goes out on its round and owes one resend, and the
-			// idle round in between repays one, so the resend queue never
-			// drains.
+			// After a burst, one fresh pair of downcast ids every other
+			// round per fragment it takes: each fragment goes out on its
+			// round and owes one resend, and the idle round in between
+			// repays one, so the resend queue never drains. Each pair
+			// opens its own fragments (a new phase), which above the
+			// CONGEST cap hold both ids in one id buffer.
 			name:   "resend",
 			resend: 1,
 			load: func(ob *Outbox, h Handle, round int) {
+				per := fragments(ob.codec, 2)
+				pair := func(k int) {
+					ob.PushDown(0, h, k, DownX2, []ID{ID(2*k + 1), ID(2*k + 2)})
+				}
 				switch {
 				case round == 0:
-					ids := make([]ID, backlog)
-					for i := range ids {
-						ids[i] = ID(1 + i)
+					for k := 0; k < backlog/per; k++ {
+						pair(k)
 					}
-					ob.PushDown(0, h, 9, 1, DownX2, ids)
-				case round > backlog && round%2 == 0:
-					ob.PushDown(0, h, 9, 1, DownX2, []ID{ID(1 + backlog + round)})
+				case round > backlog && round%(2*per) == 0:
+					pair(backlog + round)
 				}
 			},
-			held:     func(ob *Outbox) int { return ob.resends },
-			capacity: func(ob *Outbox) int { return len(ob.ports[0].resend.buf) },
+			held: func(ob *Outbox) int { return ob.resends },
+			capacity: func(ob *Outbox) int {
+				return max(len(ob.ports[0].resend.buf), len(ob.bufs))
+			},
 		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ob := NewOutbox(codec, 1)
-			ob.Resend = c.resend
-			h := ob.NewHandle()
-			peak, maxCap := 0, 0
-			sender := &stepFunc{fn: func(ctx *sim.Context, inbox []sim.Envelope) error {
-				if ctx.Round() < rounds {
-					c.load(ob, h, ctx.Round())
+			bothModes(t, func(t *testing.T, codec *Codec) {
+				ob := NewOutbox(codec, 1)
+				ob.Resend = c.resend
+				h := ob.NewHandle(9)
+				peak, maxCap := 0, 0
+				sender := &stepFunc{fn: func(ctx *sim.Context, inbox []sim.Envelope) error {
+					if ctx.Round() < rounds {
+						c.load(ob, h, ctx.Round())
+					}
+					peak = max(peak, c.held(ob))
+					if err := ob.Flush(ctx, 0); err != nil {
+						return err
+					}
+					maxCap = max(maxCap, c.capacity(ob))
+					if ctx.Round() < rounds || ob.Pending() > 0 {
+						ctx.WakeAt(ctx.Round() + 1)
+					}
+					return nil
+				}}
+				cfg := sim.Config{Graph: cliqueOf2(t), Seed: 1, MaxMessageBits: codec.Cap()}
+				if _, err := sim.Run(cfg, []sim.Process{sender, &flushProc{}}); err != nil {
+					t.Fatal(err)
 				}
-				peak = max(peak, c.held(ob))
-				if err := ob.Flush(ctx, 0); err != nil {
-					return err
+				t.Logf("peak backlog %d, largest capacity %d", peak, maxCap)
+				if peak < backlog || peak > 2*backlog {
+					t.Fatalf("peak backlog %d; the case should hold about %d", peak, backlog)
 				}
-				maxCap = max(maxCap, c.capacity(ob))
-				if ctx.Round() < rounds || ob.Pending() > 0 {
-					ctx.WakeAt(ctx.Round() + 1)
+				if maxCap > 2*peak {
+					t.Fatalf("storage reached %d over %d rounds with a peak backlog of %d", maxCap, rounds, peak)
 				}
-				return nil
-			}}
-			if _, err := sim.Run(sim.Config{Graph: cliqueOf2(t), Seed: 1}, []sim.Process{sender, &flushProc{}}); err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("peak backlog %d, largest capacity %d", peak, maxCap)
-			if peak < backlog || peak > 2*backlog {
-				t.Fatalf("peak backlog %d; the case should hold about %d", peak, backlog)
-			}
-			if maxCap > 2*peak {
-				t.Fatalf("FIFO capacity reached %d over %d rounds with a peak backlog of %d", maxCap, rounds, peak)
-			}
+			})
 		})
 	}
 }
