@@ -388,9 +388,9 @@ func BenchmarkClusterFrameDecompress(b *testing.B) {
 	}
 }
 
-// Whole-election cluster benchmarks: the same clique election over a
-// 3-shard loopback cluster, with the piggybacked barrier (default) and
-// the legacy coordinator star, so the barrier saving shows up in ns/op.
+// Whole-election cluster benchmark: a clique election over a 3-shard
+// loopback cluster, with the round barrier riding each shard's final
+// data chunk.
 func benchClusterElection(b *testing.B, opt wcle.LocalClusterOptions) {
 	local, err := wcle.StartLocalClusterWith(3, opt)
 	if err != nil {
@@ -416,10 +416,6 @@ func benchClusterElection(b *testing.B, opt wcle.LocalClusterOptions) {
 
 func BenchmarkClusterElectionPiggyback(b *testing.B) {
 	benchClusterElection(b, wcle.LocalClusterOptions{})
-}
-
-func BenchmarkClusterElectionLegacyBarrier(b *testing.B) {
-	benchClusterElection(b, wcle.LocalClusterOptions{LegacyBarrier: true})
 }
 
 // Regenerate the full suite exactly once (the EXPERIMENTS.md pipeline) on

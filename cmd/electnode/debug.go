@@ -81,7 +81,6 @@ func writeNodeMetrics(w http.ResponseWriter, m member) {
 	fmt.Fprintf(w, "electnode_wire_bytes_total %d\n", s.Wire.Bytes)
 	fmt.Fprintf(w, "electnode_wire_envelopes_total %d\n", s.Wire.Envelopes)
 	fmt.Fprintf(w, "electnode_wire_barriers_total %d\n", s.Wire.Barriers)
-	fmt.Fprintf(w, "electnode_wire_barrier_frames_total %d\n", s.Wire.BarrierFrames)
 	fmt.Fprintf(w, "electnode_messages_total %d\n", s.Messages)
 	fmt.Fprintf(w, "electnode_fault_drops_total %d\n", s.FaultDrops)
 	fmt.Fprintf(w, "electnode_fault_delays_total %d\n", s.Delayed)

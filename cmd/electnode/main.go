@@ -22,11 +22,11 @@
 // plane they can express is shard-safe, so a faulty cluster run stays
 // byte-identical to the in-process sim at the same seed.
 //
-// Session flags (coordinator only): -compress flate-compresses large
-// data frames, -legacy-barrier forces the old frameReady/frameAdvance
-// coordinator star instead of piggybacked round advancement. Both are
-// negotiated at join time, so a cluster mixing old and new binaries
-// degrades to the legacy uncompressed wire instead of failing.
+// Session flag (coordinator only): -compress flate-compresses large data
+// frames on every shard; the coordinator announces the setting in the
+// peer directory, so workers need no flag. Every process of a cluster
+// must run the same build: a worker speaking another wire-protocol
+// version is refused at join.
 //
 // Examples:
 //
@@ -93,8 +93,7 @@ func run() error {
 
 		supervise = flag.Bool("supervise", false, "coordinator mode: supervise the job flags as a leased election — heartbeats, crash detection, automatic re-election — until SIGTERM")
 
-		compress      = flag.Bool("compress", false, "coordinator mode: flate-compress large data frames (negotiated; falls back raw if a worker cannot)")
-		legacyBarrier = flag.Bool("legacy-barrier", false, "coordinator mode: force the frameReady/frameAdvance coordinator star instead of piggybacked round advancement")
+		compress = flag.Bool("compress", false, "coordinator mode: flate-compress large data frames on every shard of the session")
 
 		debugAddr  = flag.String("debug-addr", "", "serve ops endpoints (/metrics /healthz /flightz /debug/pprof/) on this address")
 		flightDump = flag.String("flight-dump", "", "dump the flight recorder (NDJSON) to this file on crash, re-election, or SIGQUIT")
@@ -139,7 +138,7 @@ func run() error {
 	default:
 		cfg := cluster.CoordinatorConfig{
 			Listen: *listen, Shards: *shards,
-			Compress: *compress, LegacyBarrier: *legacyBarrier,
+			Compress:  *compress,
 			TraceSink: sink,
 		}
 		return runCoordinator(cfg, *serve, *supervise, *readyFile, spec, *jsonOut, *debugAddr, *flightDump)
@@ -331,8 +330,8 @@ func printResult(res *cluster.Result, jsonOut bool) error {
 	fmt.Printf("leaderRound=%d totalRounds=%d\n", out.LeaderRound, out.Rounds)
 	fmt.Printf("messages=%d bits=%d deliveries=%d byKind=%v\n",
 		out.Metrics.Messages, out.Metrics.Bits, out.Metrics.Deliveries, out.Metrics.ByKind)
-	fmt.Printf("wire: frames=%d bytes=%d envelopes=%d barriers=%d barrier_frames=%d\n",
-		res.Wire.Frames, res.Wire.Bytes, res.Wire.Envelopes, res.Wire.Barriers, res.Wire.BarrierFrames)
+	fmt.Printf("wire: frames=%d bytes=%d envelopes=%d barriers=%d\n",
+		res.Wire.Frames, res.Wire.Bytes, res.Wire.Envelopes, res.Wire.Barriers)
 	if res.Wire.CompressedFrames > 0 {
 		fmt.Printf("compression: compressed_frames=%d raw_bytes=%d compressed_bytes=%d\n",
 			res.Wire.CompressedFrames, res.Wire.RawBytes, res.Wire.CompressedBytes)

@@ -1,9 +1,8 @@
 package cluster
 
 // Barrier-mode tests: the keystone determinism contract must hold — and
-// the wire counters must tell the truth — in every negotiated session
-// mode: piggybacked advancement (the default), the legacy ready/advance
-// star (mixed-version fallback), and both with compression.
+// the wire counters must tell the truth — with the piggybacked barrier
+// on raw data frames (the default) and on compressed ones.
 
 import (
 	"fmt"
@@ -16,8 +15,7 @@ import (
 
 // TestBarrierModesKeystone runs the same seeds through every session
 // mode and the in-process sim: identical leaders and per-node message
-// counts everywhere, zero barrier control frames when piggybacked, and
-// real savings when compressed.
+// counts everywhere, and real savings when compressed.
 func TestBarrierModesKeystone(t *testing.T) {
 	// Force compression onto small elections so the compressed modes
 	// actually exercise frameDataZ.
@@ -30,9 +28,7 @@ func TestBarrierModesKeystone(t *testing.T) {
 		opt  LocalOptions
 	}{
 		{"piggyback", LocalOptions{}},
-		{"legacy", LocalOptions{LegacyBarrier: true}},
 		{"piggyback-compressed", LocalOptions{Compress: true}},
-		{"legacy-compressed", LocalOptions{LegacyBarrier: true, Compress: true}},
 	}
 	spec := JobSpec{Graph: serve.GraphSpec{Family: "clique", N: 18, Seed: 5}, Seed: 41}
 	for _, backend := range algo.Names() {
@@ -56,16 +52,6 @@ func TestBarrierModesKeystone(t *testing.T) {
 					}
 				}
 				w := got.Wire
-				if mode.opt.LegacyBarrier {
-					// The star costs 2(k-1) control frames per global
-					// barrier: one ready per worker, one advance back.
-					if globals := w.Barriers / 3; w.BarrierFrames != globals*4 {
-						t.Errorf("legacy star sent %d control frames over %d global barriers, want %d",
-							w.BarrierFrames, globals, globals*4)
-					}
-				} else if w.BarrierFrames != 0 {
-					t.Errorf("piggybacked session sent %d barrier control frames, want 0", w.BarrierFrames)
-				}
 				if mode.opt.Compress {
 					if w.CompressedFrames == 0 {
 						t.Errorf("compressed session sent no compressed frames (wire %+v)", w)
@@ -115,7 +101,6 @@ func TestBarrierModesFaultParity(t *testing.T) {
 		opt  LocalOptions
 	}{
 		{"piggyback", LocalOptions{}},
-		{"legacy", LocalOptions{LegacyBarrier: true}},
 		{"piggyback-compressed", LocalOptions{Compress: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {

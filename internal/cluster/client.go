@@ -99,7 +99,6 @@ func (c *Client) RunElection(spec serve.GraphSpec, algorithm string, seed int64,
 		Bytes:            w.Bytes,
 		Envelopes:        w.Envelopes,
 		Barriers:         w.Barriers,
-		BarrierFrames:    w.BarrierFrames,
 		CompressedFrames: w.CompressedFrames,
 		RawBytes:         w.RawBytes,
 		CompressedBytes:  w.CompressedBytes,
@@ -138,14 +137,8 @@ type localWorker struct {
 
 // LocalOptions tunes a StartLocalWith cluster.
 type LocalOptions struct {
-	// LegacyBarrier forces the frameReady/frameAdvance coordinator star
-	// instead of piggybacked round advancement.
-	LegacyBarrier bool
 	// Compress enables threshold-gated flate compression of data frames.
 	Compress bool
-	// NoByzantine negotiates the Byzantine fault-injection capability off;
-	// the session then refuses adversarial job specs.
-	NoByzantine bool
 	// TraceSink, when non-nil, receives every trace event of every shard
 	// (coordinator and workers share it; sinks are concurrency-safe).
 	TraceSink obs.Sink
@@ -160,12 +153,10 @@ func StartLocal(shards int) (*Local, error) {
 // StartLocalWith is StartLocal with session options.
 func StartLocalWith(shards int, opt LocalOptions) (*Local, error) {
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Listen:        "127.0.0.1:0",
-		Shards:        shards,
-		LegacyBarrier: opt.LegacyBarrier,
-		Compress:      opt.Compress,
-		NoByzantine:   opt.NoByzantine,
-		TraceSink:     opt.TraceSink,
+		Listen:    "127.0.0.1:0",
+		Shards:    shards,
+		Compress:  opt.Compress,
+		TraceSink: opt.TraceSink,
 	})
 	if err != nil {
 		return nil, err

@@ -172,6 +172,10 @@ func TestClusterRejectsBadJobs(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), algo.KPPRT) {
 		t.Fatalf("unknown algorithm error should name it and list the registry; got %v", err)
 	}
+	_, err = local.Elect(JobSpec{Graph: good.Graph, Protocol: "bogus", Seed: 4})
+	if err == nil || !strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), engine.PushPull) {
+		t.Fatalf("unknown protocol error should name it and list the registry; got %v", err)
+	}
 	if _, err := local.Elect(JobSpec{Graph: serve.GraphSpec{Family: "nope"}, Seed: 4}); err == nil {
 		t.Fatal("bad graph family accepted")
 	}
@@ -260,6 +264,30 @@ func TestStrayJoinAfterAssembly(t *testing.T) {
 	}
 }
 
+// TestJoinRejectsOtherProtocolVersion: a worker built from another
+// wire-protocol version fails setup with an error naming both versions,
+// instead of joining a session it cannot speak.
+func TestJoinRejectsOtherProtocolVersion(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{Listen: "127.0.0.1:0", Shards: 2, ReadyTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Shutdown()
+	conn, err := net.Dial("tcp", coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeJSONFrame(conn, frameHello, helloMsg{Proto: 1, Shard: 1, Addr: "127.0.0.1:1"}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = coord.Elect(JobSpec{Graph: serve.GraphSpec{Family: "clique", N: 8, Seed: 1}, Seed: 4})
+	want := fmt.Sprintf("speaks protocol 1, want %d", proto)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("setup with a protocol-1 worker: got %v, want an error containing %q", err, want)
+	}
+}
+
 // TestDataFrameChunking forces every round's traffic through tiny data
 // chunks: a message-heavy round must cross as a frame sequence (never
 // outgrowing the frame cap) and still satisfy the determinism contract.
@@ -287,14 +315,10 @@ func TestDataFrameChunking(t *testing.T) {
 	// Merged Barriers sums the per-shard counters (3 per global round
 	// here), and an unchunked barrier costs shards*(shards-1) = 6 data
 	// frames — i.e. Barriers*2 after merging. More means chunking split
-	// the heavy rounds. (The legacy star's control frames no longer pad
-	// the count: advancement is piggybacked.)
+	// the heavy rounds.
 	globalFloor := got.Wire.Barriers * 2
 	if got.Wire.Frames <= globalFloor {
 		t.Fatalf("expected chunked rounds to multiply frames (%d frames, floor %d)",
 			got.Wire.Frames, globalFloor)
-	}
-	if got.Wire.BarrierFrames != 0 {
-		t.Fatalf("piggybacked session sent %d barrier control frames, want 0", got.Wire.BarrierFrames)
 	}
 }

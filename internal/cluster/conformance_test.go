@@ -207,15 +207,6 @@ func TestClusterFaultParityCompressed(t *testing.T) {
 		explicitFaultRunner, clusterFaultRunner(local))
 }
 
-// Legacy-star battery: mixed-version clusters fall back to the
-// frameReady/frameAdvance path; parity must hold there too.
-
-func TestClusterFaultParityLegacyBarrier(t *testing.T) {
-	local := startConformanceClusterWith(t, LocalOptions{LegacyBarrier: true})
-	algotest.FaultParityOn(t, algo.FloodMax, faultCfg, []int64{1},
-		explicitFaultRunner, clusterFaultRunner(local))
-}
-
 // Byzantine parity battery: the acceptance contract of the active
 // adversary. Mutation runs at dispatch on the sender-hosting shard with
 // sender-keyed randomness, so the forged bytes themselves cross the TCP
@@ -241,31 +232,4 @@ func TestClusterByzantineParityKPPRT(t *testing.T) {
 func TestClusterByzantineConformance(t *testing.T) {
 	local := startConformanceCluster(t)
 	algotest.ByzantineConformanceOn(t, algo.FloodMax, faultCfg, []int64{1}, clusterFaultRunner(local))
-}
-
-// TestClusterRejectsByzantineWhenNegotiatedOff: a session that negotiated
-// the capability off (one old binary is enough in the wild; NoByzantine
-// forces it here) must refuse adversarial specs outright instead of
-// running them inconsistently.
-func TestClusterRejectsByzantineWhenNegotiatedOff(t *testing.T) {
-	local := startConformanceClusterWith(t, LocalOptions{NoByzantine: true})
-	spec := JobSpec{
-		Graph:     serve.GraphSpec{Family: "clique", N: 12, Seed: 1},
-		Algorithm: algo.FloodMax,
-		Seed:      1,
-		Fault:     serve.FaultSpec{Byz: 0.2},
-	}
-	if _, err := local.Elect(spec); err == nil {
-		t.Fatal("session without the byzantine capability accepted a byzantine job")
-	}
-	// The same session still runs omission-plane jobs: the capability
-	// gates mutation, not faults in general.
-	spec.Fault = serve.FaultSpec{Drop: 0.05}
-	res, err := local.Elect(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome.Metrics.Mutated != 0 {
-		t.Fatalf("omission-only job reported %d mutations", res.Outcome.Metrics.Mutated)
-	}
 }

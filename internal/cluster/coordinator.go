@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"wcle/internal/algo"
 	"wcle/internal/obs"
 )
 
@@ -24,22 +23,12 @@ type CoordinatorConfig struct {
 	// ReadyTimeout bounds how long Elect waits for the cluster to
 	// assemble (0 = 60s).
 	ReadyTimeout time.Duration
-	// LegacyBarrier forces the frameReady/frameAdvance coordinator star
-	// even when every worker supports piggybacked round advancement —
-	// for wire-compat testing and old-vs-new measurement (E21).
-	LegacyBarrier bool
 	// Compress enables flate compression of data frames above the size
-	// threshold, if every worker supports it. Off by default: it trades
-	// coordinator/worker CPU for wire bytes, which only pays off on
-	// message-heavy workloads or thin links.
+	// threshold on every shard of the session (the peer directory carries
+	// the setting). Off by default: it trades coordinator/worker CPU for
+	// wire bytes, which only pays off on message-heavy workloads or thin
+	// links.
 	Compress bool
-	// NoByzantine negotiates the Byzantine fault-injection capability off
-	// even when every worker advertises it — for wire-compat testing and
-	// for sessions that must refuse adversarial job specs outright. On by
-	// default (subject to the usual AND with worker capabilities): jobs
-	// carrying a byzantine fault spec mutate adversarial sends at dispatch
-	// exactly as the in-process sim does.
-	NoByzantine bool
 	// TraceSink, when non-nil, additionally receives every trace event the
 	// coordinator's shard records (the always-on flight recorder gets them
 	// regardless). Tracing is strictly observational: a traced election is
@@ -49,7 +38,7 @@ type CoordinatorConfig struct {
 	FlightCap int
 }
 
-// Coordinator is shard 0: the bootstrap listener, the barrier's decider,
+// Coordinator is shard 0: the bootstrap listener, the job dispatcher,
 // and the merge point for job results.
 type Coordinator struct {
 	cfg CoordinatorConfig
@@ -62,8 +51,6 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	links    []*link // by shard id; [0] stays nil
-	caps     []feats // capabilities each shard advertised in its hello
-	ft       feats   // negotiated session features (fixed at assembly)
 	joined   int
 	setupErr error
 	closed   bool
@@ -125,8 +112,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		flight:   flight,
 		tracer:   obs.New(obs.Tee(flight, cfg.TraceSink), 0),
 		links:    make([]*link, cfg.Shards),
-		caps:     make([]feats, cfg.Shards),
-		ft:       feats{Piggyback: !cfg.LegacyBarrier, Compress: cfg.Compress, Byzantine: !cfg.NoByzantine},
 		ready:    make(chan struct{}),
 		rejoinCh: make(chan rejoinReq, cfg.Shards),
 	}
@@ -197,13 +182,8 @@ func (c *Coordinator) admitWorker(conn net.Conn, f frame) {
 		supervising := c.supervising && c.setupErr == nil
 		dead := h.Shard >= 1 && h.Shard < c.cfg.Shards &&
 			(c.links[h.Shard] == nil || c.links[h.Shard].failed() != nil)
-		ft := c.ft
 		c.mu.Unlock()
-		// A rejoiner must support the session's negotiated features: they
-		// are fixed for the session's lifetime, and a binary that cannot
-		// speak them would corrupt the first barrier it joins.
-		capable := (!ft.Piggyback || h.Piggyback) && (!ft.Compress || h.Compress) && (!ft.Byzantine || h.Byzantine)
-		if supervising && dead && h.Proto == proto && h.Addr != "" && capable {
+		if supervising && dead && h.Proto == proto && h.Addr != "" {
 			l := newLink(h.Shard, conn)
 			l.addr = h.Addr
 			select {
@@ -229,7 +209,6 @@ func (c *Coordinator) admitWorker(conn net.Conn, f frame) {
 		l := newLink(h.Shard, conn)
 		l.addr = h.Addr
 		c.links[h.Shard] = l
-		c.caps[h.Shard] = feats{Piggyback: h.Piggyback, Compress: h.Compress, Byzantine: h.Byzantine}
 		c.joined++
 		if c.joined == c.cfg.Shards-1 {
 			links := append([]*link(nil), c.links...)
@@ -257,22 +236,9 @@ func (c *Coordinator) failSetupLocked(err error) {
 	}
 }
 
-// finishSetup negotiates the session features, broadcasts the peer
-// directory, and waits for every worker's pairwise links to come up.
+// finishSetup broadcasts the peer directory and waits for every worker's
+// pairwise links to come up.
 func (c *Coordinator) finishSetup(links []*link) {
-	// The session runs the AND of what the configuration wants and what
-	// every member can speak: one old binary in the cluster downgrades
-	// everyone to the legacy star (and raw frames), keeping mixed-version
-	// clusters byte-compatible.
-	c.mu.Lock()
-	ft := c.ft
-	for shard := 1; shard < c.cfg.Shards; shard++ {
-		ft.Piggyback = ft.Piggyback && c.caps[shard].Piggyback
-		ft.Compress = ft.Compress && c.caps[shard].Compress
-		ft.Byzantine = ft.Byzantine && c.caps[shard].Byzantine
-	}
-	c.ft = ft
-	c.mu.Unlock()
 	addrs := make([]string, c.cfg.Shards)
 	addrs[0] = c.Addr()
 	for shard := 1; shard < c.cfg.Shards; shard++ {
@@ -281,7 +247,7 @@ func (c *Coordinator) finishSetup(links []*link) {
 	var err error
 	for shard := 1; shard < c.cfg.Shards && err == nil; shard++ {
 		l := links[shard]
-		if e := l.writeJSON(framePeers, peersMsg{Addrs: addrs, Piggyback: ft.Piggyback, Compress: ft.Compress, Byzantine: ft.Byzantine}); e != nil {
+		if e := l.writeJSON(framePeers, peersMsg{Addrs: addrs, Compress: c.cfg.Compress}); e != nil {
 			err = e
 		} else if e := l.flush(); e != nil {
 			err = e
@@ -367,7 +333,6 @@ func (c *Coordinator) elect(spec JobSpec) (*Result, error) {
 	err := c.setupErr
 	closed := c.closed
 	links := append([]*link(nil), c.links...)
-	ft := c.ft
 	c.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -381,19 +346,13 @@ func (c *Coordinator) elect(spec JobSpec) (*Result, error) {
 	if c.broken != nil {
 		return nil, fmt.Errorf("cluster: session broken by an earlier job: %w", c.broken)
 	}
-	// Validate before touching the workers: a bad spec must fail the job,
-	// not the session.
-	if spec.Algorithm != "" && !algo.Known(spec.Algorithm) {
-		return nil, fmt.Errorf("cluster: unknown algorithm %q (known: %v)", spec.Algorithm, algo.Names())
+	// Validate before touching the workers, with the resolver every shard
+	// runs: a bad spec must fail the job, not the session.
+	if _, err := spec.runner(); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if err := spec.Fault.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	// A session that negotiated the Byzantine capability off (an old binary
-	// in the cluster, or NoByzantine) must refuse adversarial specs: a
-	// member that cannot mutate sends would silently diverge from the sim.
-	if spec.Fault.Byzantine() && !ft.Byzantine {
-		return nil, fmt.Errorf("cluster: job carries a byzantine fault spec but the session negotiated that capability off")
 	}
 	g0, err := spec.Graph.Build()
 	if err != nil {
@@ -431,7 +390,7 @@ func (c *Coordinator) elect(spec JobSpec) (*Result, error) {
 	}
 
 	parts := make([]partialResult, 0, c.cfg.Shards)
-	own := runShard(links, 0, c.cfg.Shards, c.jobID, spec, ft, c.tracer)
+	own := runShard(links, 0, c.cfg.Shards, c.jobID, spec, c.cfg.Compress, c.tracer)
 	c.statsMu.Lock()
 	c.stats.addJob(own)
 	c.statsMu.Unlock()
@@ -476,7 +435,7 @@ func collectResult(l *link, jobID int64) (partialResult, error) {
 				return partialResult{}, fmt.Errorf("cluster: shard %d answered job %d, expected %d", l.peer, pr.JobID, jobID)
 			}
 			return pr, nil
-		case frameData, frameDataZ, frameReady, frameAbort, frameHeart:
+		case frameData, frameDataZ, frameAbort, frameHeart:
 			// Leftovers of a broken barrier (or a straggling heartbeat);
 			// the result frame follows.
 		default:

@@ -8,19 +8,20 @@
 // endpoints live in the same shard short-circuit through the in-memory
 // transport; cross-shard edges travel as length-prefixed binary envelopes
 // (internal/wire) over one TCP connection per process pair. A
-// coordinator-led round barrier preserves the synchronous-round semantics:
+// peer-to-peer round barrier preserves the synchronous-round semantics:
 // after each stepped round every shard flushes its cross-shard traffic to
-// every peer, reports its earliest pending event round to the coordinator,
-// and adopts the agreed global minimum — so the cluster skips idle rounds
-// exactly like the single-process scheduler, and a run's outcome is
-// byte-identical to the in-process sim for the same seed (the keystone
-// invariant, enforced by TestClusterMatchesInProcessSim).
+// every peer, its earliest pending event round riding the final data
+// chunk, and every shard adopts the minimum over all shards — so the
+// cluster skips idle rounds exactly like the single-process scheduler,
+// and a run's outcome is byte-identical to the in-process sim for the
+// same seed (the keystone invariant, enforced by
+// TestClusterMatchesInProcessSim).
 //
 // Topology and session flow:
 //
 //   - shard 0 is the coordinator: it listens, admits the other shards
 //     (hello → peer directory → pairwise dials → up), and owns job
-//     control (start/result) plus the barrier's advance decision;
+//     control (start/result);
 //   - workers join via the coordinator's bootstrap address, listen for
 //     their higher-numbered peers, and dial their lower-numbered ones;
 //   - clients (cmd/electnode -submit, electd's cluster mode, the wcle
@@ -28,10 +29,12 @@
 //     the coordinator fans the job out, runs its own shard, merges the
 //     per-shard partial outcomes, and answers.
 //
-// The barrier handshake is deliberately split into a peer-to-peer flush
-// (data frames carry an epoch, so every shard can verify it is in the same
-// iteration) and a coordinator round-trip (ready/advance): decentralizing
-// the advance decision later only means replacing the second half.
+// The barrier is one peer-to-peer phase: data frames carry an epoch, so
+// every shard can verify it is in the same iteration, and the final chunk
+// to each peer carries the sender's next-event contribution, so no
+// control frame crosses per round. Every process of a cluster runs the
+// same build: each hello carries the wire-protocol version, and a joiner
+// speaking another version is refused.
 //
 // Fault planes ride along on cluster runs: every plane the wire spec can
 // express (drop, delay, crash, partition, and their compositions) keys

@@ -2,8 +2,8 @@ package cluster
 
 // Frame layer: everything crossing a cluster connection is a
 // [u32 big-endian length][type byte][payload] frame. Control frames carry
-// JSON (rare, debuggable); the per-round barrier frames (data, ready,
-// advance) are binary (hot path).
+// JSON (rare, debuggable); the per-round data frames, which also carry
+// the round barrier, are binary (hot path).
 
 import (
 	"encoding/binary"
@@ -12,10 +12,14 @@ import (
 	"io"
 )
 
-// proto is the cluster wire-protocol version, checked at every hello.
-const proto = 1
+// proto is the cluster wire-protocol version, checked at every hello: a
+// joiner speaking another version is refused, so every process of a
+// cluster runs the same protocol.
+const proto = 2
 
-// Frame types. Part of the wire format: never reuse.
+// Frame types. Part of the wire format: never reuse. 0x11 and 0x12 are
+// reserved: they were the ready/advance frames of the retired coordinator
+// barrier.
 const (
 	frameHello    = 0x01 // JSON helloMsg: joiner → listener, first frame of every peer conn
 	framePeers    = 0x02 // JSON peersMsg: coordinator → worker, the shard directory
@@ -27,8 +31,6 @@ const (
 	frameOutcome  = 0x08 // JSON outcomeMsg: coordinator → client
 	frameAbort    = 0x09 // JSON abortMsg: any → any, the session is broken
 	frameData     = 0x10 // binary: epoch, round, count, envelopes
-	frameReady    = 0x11 // binary: epoch, varint localNext
-	frameAdvance  = 0x12 // binary: epoch, varint globalNext
 	frameLease    = 0x13 // binary wire.Lease: coordinator → worker, leader elected, start heartbeating
 	frameHeart    = 0x14 // binary wire.Heartbeat: worker → coordinator, periodic under a lease
 	frameEpoch    = 0x15 // binary wire.EpochChange: coordinator → worker (membership change) and worker ↔ worker (link drain marker)
@@ -54,47 +56,19 @@ type helloMsg struct {
 	// Addr is the dialer's own listen address (join hellos only; workers
 	// need it in the peer directory so higher shards can dial them).
 	Addr string `json:"addr,omitempty"`
-	// Piggyback, Compress, and Byzantine advertise capabilities (join
-	// hellos to the coordinator only). omitempty keeps the frame
-	// byte-identical for binaries that predate the fields — an old worker
-	// naturally advertises none, and the session negotiates down to the
-	// legacy ready/advance barrier, raw frames, and omission-only fault
-	// planes.
-	Piggyback bool `json:"piggyback,omitempty"`
-	Compress  bool `json:"compress,omitempty"`
-	Byzantine bool `json:"byzantine,omitempty"`
 }
 
 // peersMsg is the coordinator's shard directory: Addrs[i] is shard i's
 // listen address. Live[i], when present, reports whether shard i is
 // currently part of the session (nil means everyone is; a rejoining
-// worker only wires up to live peers). Piggyback and Compress are the
-// negotiated session features: the AND of every member's advertised
-// capabilities with the coordinator's configuration, fixed for the
-// session's lifetime (a rejoiner must still support them; admission
-// enforces that).
+// worker only wires up to live peers). Compress is the coordinator's
+// session setting: when set, data frames above the size threshold cross
+// as flate streams (frameDataZ). Every member decodes those whatever the
+// setting, so only senders need it.
 type peersMsg struct {
-	Addrs     []string `json:"addrs"`
-	Live      []bool   `json:"live,omitempty"`
-	Piggyback bool     `json:"piggyback,omitempty"`
-	Compress  bool     `json:"compress,omitempty"`
-	Byzantine bool     `json:"byzantine,omitempty"`
-}
-
-// feats are the negotiated per-session features, as announced in the
-// setup peersMsg.
-type feats struct {
-	// Piggyback: round advancement rides the final data chunk of every
-	// flush (wire.ChunkFinalNext) instead of the ready/advance star.
-	Piggyback bool
-	// Compress: data frames above the size threshold cross as flate
-	// streams (frameDataZ).
-	Compress bool
-	// Byzantine: every member mutates adversarial sends at dispatch (the
-	// sim.Byzantine frame-mutation path), so jobs carrying a byzantine
-	// fault spec are admissible. A session that negotiated it off rejects
-	// such jobs instead of running them inconsistently.
-	Byzantine bool
+	Addrs    []string `json:"addrs"`
+	Live     []bool   `json:"live,omitempty"`
+	Compress bool     `json:"compress,omitempty"`
 }
 
 // upMsg signals a worker finished its pairwise link setup.
@@ -195,10 +169,6 @@ func frameName(typ byte) string {
 		return "abort"
 	case frameData:
 		return "data"
-	case frameReady:
-		return "ready"
-	case frameAdvance:
-		return "advance"
 	case frameLease:
 		return "lease"
 	case frameHeart:

@@ -226,16 +226,10 @@ type partialResult struct {
 // runShard executes one shard's slice of a job. It always returns a
 // partialResult; failures ride in its Err field so the coordinator can
 // merge errors like outcomes. links is indexed by shard id (nil at own);
-// ft carries the session's negotiated features into the plane; tr (nil ok)
+// compress is the session's data-frame compression setting; tr (nil ok)
 // records the shard's job span and the run's round spans.
-func runShard(links []*link, shard, shards int, jobID int64, spec JobSpec, ft feats, tr *obs.Tracer) partialResult {
+func runShard(links []*link, shard, shards int, jobID int64, spec JobSpec, compress bool, tr *obs.Tracer) partialResult {
 	pr := partialResult{Shard: shard, JobID: jobID, LeaderRound: -1}
-	if spec.Fault.Byzantine() && !ft.Byzantine {
-		// The coordinator gates this too; a shard double-checks so a
-		// mixed-version session can never half-run an adversarial job.
-		pr.Err = "cluster: byzantine fault spec on a session without the byzantine capability"
-		return pr
-	}
 	g0, err := spec.Graph.Build()
 	if err != nil {
 		pr.Err = err.Error()
@@ -264,7 +258,7 @@ func runShard(links []*link, shard, shards int, jobID int64, spec JobSpec, ft fe
 			jobLinks[s] = l
 		}
 	}
-	pl := newPlane(jobLinks, shard, shards, owner, ft, tr)
+	pl := newPlane(jobLinks, shard, shards, owner, compress, tr)
 	jobName := spec.Algorithm
 	if spec.Protocol != "" {
 		jobName = spec.Protocol

@@ -15,9 +15,7 @@ package cluster
 //     piggybacked contributions into the global minimum.
 //
 // Every shard therefore computes the same global next-event round from
-// the same k contributions, with no second network phase: the old
-// frameReady/frameAdvance star through shard 0 survives only as the
-// negotiated fallback for mixed-version clusters (feats.Piggyback off).
+// the same k contributions, with no second network phase.
 //
 // Write-all-then-read-all is deadlock-free because every link's reader
 // goroutine keeps draining the connection into an unbounded queue: a
@@ -30,7 +28,6 @@ package cluster
 // its final chunk, leaving those for the next iteration.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -44,10 +41,9 @@ import (
 // are the whole cluster's traffic (every frame is counted once, by its
 // sender).
 type WireStats struct {
-	// Frames and Bytes count every frame this shard sent, barrier
-	// control included. Bytes includes the 5-byte frame headers and
-	// reflects what actually crossed the wire (compressed sizes for
-	// compressed frames).
+	// Frames and Bytes count every data frame this shard sent. Bytes
+	// includes the 5-byte frame headers and reflects what actually
+	// crossed the wire (compressed sizes for compressed frames).
 	Frames int64 `json:"frames"`
 	Bytes  int64 `json:"bytes"`
 	// Envelopes counts cross-shard protocol messages (the wire-level
@@ -56,10 +52,6 @@ type WireStats struct {
 	// Barriers counts round-barrier iterations (identical on every
 	// shard of a run).
 	Barriers int64 `json:"barriers"`
-	// BarrierFrames counts the ready/advance control frames this shard
-	// sent — the legacy coordinator star's second network phase. Zero
-	// under piggybacked advancement: that is the whole point.
-	BarrierFrames int64 `json:"barrier_frames,omitempty"`
 	// CompressedFrames counts data frames sent compressed; RawBytes and
 	// CompressedBytes are their payload sizes before and after flate.
 	CompressedFrames int64 `json:"compressed_frames,omitempty"`
@@ -72,7 +64,6 @@ func (s *WireStats) add(o WireStats) {
 	s.Bytes += o.Bytes
 	s.Envelopes += o.Envelopes
 	s.Barriers += o.Barriers
-	s.BarrierFrames += o.BarrierFrames
 	s.CompressedFrames += o.CompressedFrames
 	s.RawBytes += o.RawBytes
 	s.CompressedBytes += o.CompressedBytes
@@ -125,7 +116,7 @@ type plane struct {
 	shard, shards int
 	owner         []int   // node index -> hosting shard id
 	links         []*link // by shard id; links[shard] == nil
-	ft            feats
+	compress      bool    // deflate data frames above compressMinBytes
 
 	epoch   uint64
 	out     [][]chunk     // per-peer encoded envelopes, pending this round
@@ -143,18 +134,18 @@ type plane struct {
 // newPlane builds the shard plane for a graph whose node i is hosted by
 // shard owner[i]. contiguousOwners builds the full-membership default;
 // re-elections after membership loss pass the survivors' owner table.
-func newPlane(links []*link, shard, shards int, owner []int, ft feats, tr *obs.Tracer) *plane {
+func newPlane(links []*link, shard, shards int, owner []int, compress bool, tr *obs.Tracer) *plane {
 	return &plane{
-		shard:   shard,
-		shards:  shards,
-		owner:   owner,
-		links:   links,
-		ft:      ft,
-		out:     make([][]chunk, shards),
-		sentMin: -1,
-		ready:   make(chan struct{}, 1),
-		done:    make([]bool, shards),
-		tr:      tr,
+		shard:    shard,
+		shards:   shards,
+		owner:    owner,
+		links:    links,
+		compress: compress,
+		out:      make([][]chunk, shards),
+		sentMin:  -1,
+		ready:    make(chan struct{}, 1),
+		done:     make([]bool, shards),
+		tr:       tr,
 	}
 }
 
@@ -207,9 +198,8 @@ func (p *plane) Send(round, due, to int, env sim.Envelope) error {
 // agrees on the global next event round. localNext is the shard's
 // pre-receive earliest pending event round (-1 = quiescent); this
 // shard's contribution folds in the earliest due round it sent, so
-// in-flight envelopes are accounted for by their sender and the
-// piggybacked minimum equals what the old post-receive handshake
-// computed.
+// in-flight envelopes are accounted for by their sender and the minimum
+// over every shard's contribution is the global next event round.
 func (p *plane) Barrier(round, localNext int, inject func(due, to int, env sim.Envelope) error) (int, error) {
 	p.epoch++
 	p.stats.Barriers++
@@ -227,33 +217,21 @@ func (p *plane) Barrier(round, localNext int, inject func(due, to int, env sim.E
 		return 0, p.abort(err)
 	}
 	drainSp := p.tr.Start("cluster", "drain", int64(round))
-	peersNext, injMin, err := p.recvAll(round, inject)
+	peersNext, err := p.recvAll(round, inject)
 	drainSp.End()
 	if err != nil {
 		return 0, p.abort(err)
 	}
-	if p.ft.Piggyback {
-		global := contribution
-		if peersNext >= 0 && (global < 0 || peersNext < global) {
-			global = peersNext
-		}
-		return global, nil
+	global := contribution
+	if peersNext >= 0 && (global < 0 || peersNext < global) {
+		global = peersNext
 	}
-	// Legacy star: report the post-receive local next — the pre-receive
-	// value folded with the earliest injected due, exactly what the old
-	// flush-then-advance runner computed — so the wire bytes stay
-	// byte-identical for old binaries.
-	post := localNext
-	if injMin >= 0 && (post < 0 || injMin < post) {
-		post = injMin
-	}
-	return p.advance(post)
+	return global, nil
 }
 
 // writeRound sends the round's queued envelopes to every peer as chunked
-// data frames. In a piggyback session the final chunk carries
-// contribution; a compressed session deflates chunks above the size
-// threshold.
+// data frames. The final chunk carries contribution; a compressed
+// session deflates chunks above the size threshold.
 func (p *plane) writeRound(round, contribution int) error {
 	for peer, l := range p.links {
 		if l == nil {
@@ -271,17 +249,13 @@ func (p *plane) writeRound(round, contribution int) error {
 				Count: chunks[ci].cnt,
 			}
 			if ci == len(chunks)-1 {
-				if p.ft.Piggyback {
-					hdr.Flag = wire.ChunkFinalNext
-					hdr.Next = contribution
-				} else {
-					hdr.Flag = wire.ChunkFinal
-				}
+				hdr.Flag = wire.ChunkFinalNext
+				hdr.Next = contribution
 			}
 			p.buf = wire.AppendDataHeader(p.buf[:0], hdr)
 			p.buf = append(p.buf, chunks[ci].buf...)
 			typ, payload := byte(frameData), p.buf
-			if p.ft.Compress && len(p.buf) >= compressMinBytes {
+			if p.compress && len(p.buf) >= compressMinBytes {
 				if z, ok := wire.AppendCompressed(p.zbuf[:0], p.buf); ok {
 					p.zbuf = z
 					typ, payload = frameDataZ, z
@@ -308,10 +282,9 @@ func (p *plane) writeRound(round, contribution int) error {
 
 // recvAll consumes every peer's data frames for the current epoch, in
 // whatever order they arrive. It returns the minimum piggybacked peer
-// contribution (-1 = all quiescent or legacy session) and the minimum
-// injected due round (-1 = nothing injected; the legacy star needs it).
-func (p *plane) recvAll(round int, inject func(due, to int, env sim.Envelope) error) (int, int, error) {
-	peersNext, injMin := -1, -1
+// contribution (-1 = all quiescent).
+func (p *plane) recvAll(round int, inject func(due, to int, env sim.Envelope) error) (int, error) {
+	peersNext := -1
 	remaining := 0
 	timeout := defaultFrameTimeout
 	for s, l := range p.links {
@@ -331,7 +304,7 @@ func (p *plane) recvAll(round int, inject func(due, to int, env sim.Envelope) er
 		}
 	}()
 	if remaining == 0 {
-		return -1, -1, nil
+		return -1, nil
 	}
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
@@ -347,15 +320,15 @@ func (p *plane) recvAll(round int, inject func(due, to int, env sim.Envelope) er
 			for !p.done[s] {
 				f, ok, err := l.q.tryNext()
 				if err != nil {
-					return 0, 0, err
+					return 0, err
 				}
 				if !ok {
 					break
 				}
 				progress = true
-				final, next, err := p.handleData(l, f, round, inject, &injMin)
+				final, next, err := p.handleData(l, f, round, inject)
 				if err != nil {
-					return 0, 0, err
+					return 0, err
 				}
 				if final {
 					p.done[s] = true
@@ -384,16 +357,16 @@ func (p *plane) recvAll(round int, inject func(due, to int, env sim.Envelope) er
 		select {
 		case <-p.ready:
 		case <-deadline.C:
-			return 0, 0, fmt.Errorf("cluster: no data frame within %v (peer hung or dead)", timeout)
+			return 0, fmt.Errorf("cluster: no data frame within %v (peer hung or dead)", timeout)
 		}
 	}
-	return peersNext, injMin, nil
+	return peersNext, nil
 }
 
 // handleData decodes one data frame, injects its envelopes, and reports
-// whether it was the peer's final chunk and (piggyback sessions) the
-// peer's barrier contribution.
-func (p *plane) handleData(l *link, f frame, round int, inject func(due, to int, env sim.Envelope) error, injMin *int) (bool, int, error) {
+// whether it was the peer's final chunk and, if so, the peer's barrier
+// contribution.
+func (p *plane) handleData(l *link, f frame, round int, inject func(due, to int, env sim.Envelope) error) (bool, int, error) {
 	b := f.payload
 	switch f.typ {
 	case frameData:
@@ -425,26 +398,12 @@ func (p *plane) handleData(l *link, f frame, round int, inject func(due, to int,
 	if h.Round != round {
 		return false, 0, fmt.Errorf("cluster: shard %d flushed round %d, expected %d", l.peer, h.Round, round)
 	}
-	switch h.Flag {
-	case wire.ChunkMore:
-	case wire.ChunkFinalNext:
-		if !p.ft.Piggyback {
-			return false, 0, fmt.Errorf("cluster: shard %d piggybacked a barrier in a legacy session", l.peer)
-		}
-	case wire.ChunkFinal:
-		if p.ft.Piggyback {
-			return false, 0, fmt.Errorf("cluster: shard %d sent a legacy final chunk in a piggyback session", l.peer)
-		}
-	}
 	for i := 0; i < h.Count; i++ {
 		e, rest, err := wire.DecodeEnvelope(b)
 		if err != nil {
 			return false, 0, fmt.Errorf("cluster: envelope %d/%d from shard %d: %w", i+1, h.Count, l.peer, err)
 		}
 		b = rest
-		if *injMin < 0 || e.Due < *injMin {
-			*injMin = e.Due
-		}
 		if err := inject(e.Due, e.To, sim.Envelope{Port: e.Port, From: e.From, Payload: e.Msg}); err != nil {
 			return false, 0, err
 		}
@@ -452,119 +411,7 @@ func (p *plane) handleData(l *link, f frame, round int, inject func(due, to int,
 	if len(b) != 0 {
 		return false, 0, fmt.Errorf("cluster: %d trailing bytes in data frame from shard %d", len(b), l.peer)
 	}
-	return h.Flag != wire.ChunkMore, h.Next, nil
-}
-
-// advance runs the legacy barrier star: report this shard's post-receive
-// next event round to shard 0 and adopt the broadcast global minimum.
-func (p *plane) advance(localNext int) (int, error) {
-	if p.shard == 0 {
-		return p.advanceCoordinator(localNext)
-	}
-	p.buf = binary.AppendUvarint(p.buf[:0], p.epoch)
-	p.buf = binary.AppendVarint(p.buf, int64(localNext))
-	l := p.links[0]
-	if err := l.write(frameReady, p.buf); err != nil {
-		return 0, p.abort(err)
-	}
-	if err := l.flush(); err != nil {
-		return 0, p.abort(err)
-	}
-	p.stats.countFrame(len(p.buf))
-	p.stats.BarrierFrames++
-	f, err := l.next()
-	if err != nil {
-		return 0, p.abort(err)
-	}
-	switch f.typ {
-	case frameAdvance:
-	case frameAbort:
-		var a abortMsg
-		_ = decodeJSON(f, &a)
-		return 0, p.abort(fmt.Errorf("cluster: shard %d aborted: %s", a.Shard, a.Msg))
-	case frameEpoch, frameEpochAck:
-		l.q.pushFront(f)
-		return 0, p.abort(fmt.Errorf("cluster: epoch change interrupted the job"))
-	default:
-		return 0, p.abort(fmt.Errorf("cluster: expected advance, got %s", frameName(f.typ)))
-	}
-	epoch, next, err := decodeEpochNext(f.payload)
-	if err != nil {
-		return 0, p.abort(err)
-	}
-	if epoch != p.epoch {
-		return 0, p.abort(fmt.Errorf("cluster: advance for epoch %d, expected %d", epoch, p.epoch))
-	}
-	return next, nil
-}
-
-// advanceCoordinator collects every worker's ready, decides the global
-// minimum next event round, and broadcasts it.
-func (p *plane) advanceCoordinator(localNext int) (int, error) {
-	global := localNext
-	for _, l := range p.links {
-		if l == nil {
-			continue
-		}
-		f, err := l.next()
-		if err != nil {
-			return 0, p.abort(err)
-		}
-		switch f.typ {
-		case frameReady:
-		case frameAbort:
-			var a abortMsg
-			_ = decodeJSON(f, &a)
-			return 0, p.abort(fmt.Errorf("cluster: shard %d aborted: %s", a.Shard, a.Msg))
-		default:
-			return 0, p.abort(fmt.Errorf("cluster: expected ready from shard %d, got %s", l.peer, frameName(f.typ)))
-		}
-		epoch, theirs, err := decodeEpochNext(f.payload)
-		if err != nil {
-			return 0, p.abort(err)
-		}
-		if epoch != p.epoch {
-			return 0, p.abort(fmt.Errorf("cluster: shard %d ready for epoch %d, expected %d", l.peer, epoch, p.epoch))
-		}
-		if theirs >= 0 && (global < 0 || theirs < global) {
-			global = theirs
-		}
-	}
-	for _, l := range p.links {
-		if l == nil {
-			continue
-		}
-		p.buf = binary.AppendUvarint(p.buf[:0], p.epoch)
-		p.buf = binary.AppendVarint(p.buf, int64(global))
-		if err := l.write(frameAdvance, p.buf); err != nil {
-			return 0, p.abort(err)
-		}
-		if err := l.flush(); err != nil {
-			return 0, p.abort(err)
-		}
-		p.stats.countFrame(len(p.buf))
-		p.stats.BarrierFrames++
-	}
-	return global, nil
-}
-
-// decodeEpochNext parses a ready/advance payload.
-func decodeEpochNext(b []byte) (uint64, int, error) {
-	epoch, b, err := wire.ReadUvarint(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	next, b, err := wire.ReadVarint(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(b) != 0 {
-		return 0, 0, fmt.Errorf("cluster: %d trailing bytes in barrier frame", len(b))
-	}
-	if next < -1 || next > int64(int(^uint(0)>>1)) {
-		return 0, 0, fmt.Errorf("cluster: barrier next round %d out of range", next)
-	}
-	return epoch, int(next), nil
+	return h.Flag == wire.ChunkFinalNext, h.Next, nil
 }
 
 // abort marks the session broken, tells every peer, and returns err.

@@ -546,10 +546,7 @@ func (s *Supervision) quiesce(epoch uint64, live []bool, rj *rejoinReq) (dead []
 	if rj != nil {
 		c.installLink(rj.shard, rj.link)
 		addrs := c.directory(rj.shard, rj.addr)
-		c.mu.Lock()
-		ft := c.ft
-		c.mu.Unlock()
-		if err := rj.link.writeJSON(framePeers, peersMsg{Addrs: addrs, Live: append([]bool(nil), live...), Piggyback: ft.Piggyback, Compress: ft.Compress}); err != nil {
+		if err := rj.link.writeJSON(framePeers, peersMsg{Addrs: addrs, Live: append([]bool(nil), live...), Compress: c.cfg.Compress}); err != nil {
 			deadSet[rj.shard] = err
 		} else if err := rj.link.flush(); err != nil {
 			deadSet[rj.shard] = err
@@ -598,7 +595,7 @@ func collectEpochAck(l *link, epoch uint64) error {
 				return nil
 			}
 			// An older epoch's ack: keep draining.
-		case frameData, frameDataZ, frameReady, frameResult, frameAbort, frameHeart:
+		case frameData, frameDataZ, frameResult, frameAbort, frameHeart:
 			// Leftovers of the dying epoch.
 		default:
 			return fmt.Errorf("cluster: unexpected %s from shard %d while quiescing epoch %d", frameName(f.typ), l.peer, epoch)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -162,6 +163,64 @@ func TestSupervisionReelectsAfterCrash(t *testing.T) {
 		t.Fatalf("post-supervision election: %v", err)
 	}
 	assertOutcomesMatch(t, want, &res.Outcome)
+}
+
+// TestSupervisionRejoinThenByzantineJob: a worker that rejoins a
+// supervised session gets the same peer directory as an original member,
+// so once the supervision stops, an adversarial job runs on every shard
+// and matches the in-process sim forgery for forgery.
+func TestSupervisionRejoinThenByzantineJob(t *testing.T) {
+	local, err := StartLocal(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	g := serve.GraphSpec{Family: "clique", N: 12, Seed: 3}
+	sup, events := superviseEvents(t, local.Coord, JobSpec{Graph: g, Algorithm: algo.KPPRT, Seed: 9})
+	awaitEvent(t, events, EventLease)
+	if err := local.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	awaitEvent(t, events, EventDeath)
+	awaitEvent(t, events, EventLease)
+	if err := local.Restart(1); err != nil {
+		t.Fatal(err)
+	}
+	awaitEvent(t, events, EventRejoin)
+	awaitEvent(t, events, EventLease)
+	sup.Stop()
+	if _, err := sup.Wait(); err != nil {
+		t.Fatalf("supervision ended with error: %v", err)
+	}
+
+	spec := JobSpec{Graph: g, Algorithm: algo.FloodMax, Seed: 1, Fault: serve.FaultSpec{Byz: 0.25}}
+	got, err := local.Elect(spec)
+	if err != nil {
+		t.Fatalf("byzantine job after a rejoin: %v", err)
+	}
+	g0, err := spec.Graph.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := spec.backend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := a.Run(g0, engine.Options{Seed: spec.Seed, Fault: spec.Fault.Plane()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fields of the Byzantine parity contract (algotest.ByzantineParityOn).
+	parity := func(o *algo.Outcome) string {
+		return fmt.Sprint(o.Leaders, o.LeaderIDs, o.Success, o.Contenders, o.LeaderRound, o.Rounds,
+			o.Metrics.Messages, o.Metrics.Bits, o.Metrics.Deliveries, o.Metrics.Mutated)
+	}
+	if parity(&got.Outcome) != parity(want) {
+		t.Fatalf("cluster run diverged from the in-process sim:\n  cluster:    %s\n  in-process: %s", parity(&got.Outcome), parity(want))
+	}
+	if got.Outcome.Metrics.Mutated == 0 {
+		t.Fatal("the byzantine job mutated no send")
+	}
 }
 
 // TestSupervisionGatesAdHocElections: while a supervision owns the

@@ -55,9 +55,9 @@ type Worker struct {
 	// event into it (plus cfg.TraceSink when set).
 	flight *obs.Ring
 	tracer *obs.Tracer
-	// ft holds the session features negotiated by the coordinator, as
-	// announced in the setup directory (owned by the run goroutine).
-	ft feats
+	// compress is the session's data-frame compression setting, as
+	// announced in the peer directory (owned by the run goroutine).
+	compress bool
 
 	// parked holds replacement peer connections accepted while the main
 	// loop was elsewhere; the epoch-change handler claims them.
@@ -140,7 +140,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		_ = ln.Close()
 		return nil, fmt.Errorf("cluster: joining %s: %w", cfg.Bootstrap, err)
 	}
-	if err := writeJSONFrame(conn, frameHello, helloMsg{Proto: proto, Shard: cfg.Shard, Addr: advertiseAddr(ln, cfg.Listen), Piggyback: true, Compress: true, Byzantine: true}); err != nil {
+	if err := writeJSONFrame(conn, frameHello, helloMsg{Proto: proto, Shard: cfg.Shard, Addr: advertiseAddr(ln, cfg.Listen)}); err != nil {
 		_ = conn.Close()
 		_ = ln.Close()
 		return nil, err
@@ -322,7 +322,7 @@ func (w *Worker) Run() error {
 			if err := decodeJSON(f, &st); err != nil {
 				return err
 			}
-			pr := runShard(links, w.cfg.Shard, shards, st.JobID, st.Spec, w.ft, w.tracer)
+			pr := runShard(links, w.cfg.Shard, shards, st.JobID, st.Spec, w.compress, w.tracer)
 			w.statsMu.Lock()
 			w.stats.addJob(pr)
 			w.statsMu.Unlock()
@@ -351,7 +351,7 @@ func (w *Worker) Run() error {
 			}
 		case frameShutdown:
 			return nil
-		case frameData, frameDataZ, frameReady, frameAdvance, frameAbort:
+		case frameData, frameDataZ, frameAbort:
 			// Stale leftovers of a job that died mid-barrier; the next
 			// epoch change (or shutdown) follows.
 		default:
@@ -495,7 +495,7 @@ func drainUntilEpoch(l *link, epoch uint64) error {
 				return nil
 			}
 			// An older epoch's marker: keep draining.
-		case frameData, frameDataZ, frameReady, frameAdvance, frameAbort, frameHeart:
+		case frameData, frameDataZ, frameAbort, frameHeart:
 			// Stale leftovers of the aborted job.
 		default:
 			return fmt.Errorf("cluster: unexpected %s from shard %d while draining epoch %d", frameName(f.typ), l.peer, epoch)
@@ -521,7 +521,7 @@ func (w *Worker) setup() ([]*link, error) {
 	if err := decodeJSON(f, &peers); err != nil {
 		return nil, err
 	}
-	w.ft = feats{Piggyback: peers.Piggyback, Compress: peers.Compress, Byzantine: peers.Byzantine}
+	w.compress = peers.Compress
 	shards := len(peers.Addrs)
 	if w.cfg.Shard >= shards {
 		return nil, fmt.Errorf("cluster: shard id %d outside the %d-shard directory", w.cfg.Shard, shards)

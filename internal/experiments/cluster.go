@@ -12,11 +12,6 @@ package experiments
 // worker shards out from under a leased election and measure how long
 // the supervisor takes to detect the deaths, quiesce the survivors, and
 // grant a new single-leader lease, per backend and per crash count.
-//
-// E21: the barrier ablation. The same election under the legacy
-// coordinator star (frameReady/frameAdvance per round) and under
-// piggybacked round advancement, counting the control frames the
-// piggyback removed and asserting outcome identity between the modes.
 
 import (
 	"fmt"
@@ -170,128 +165,12 @@ func renderE19(cfg SuiteConfig, data []PointData) (*Table, error) {
 	t.AddNote("Every row's cluster election elected the same leader as the in-process sim with the same seed (a trial fails otherwise) — " +
 		"the keystone determinism contract of the cluster runtime, also enforced by TestClusterMatchesInProcessSim. " +
 		"Barriers count global event rounds: each shard piggybacks its next-event contribution on its final data chunk and takes the " +
-		"minimum locally (E21 measures the saving vs the old coordinator star), so idle rounds cost no wire traffic " +
+		"minimum locally, so idle rounds cost no wire traffic " +
 		"(gilbertrs18's schedule spans tens of thousands of simulated rounds but only a few hundred barriers). " +
 		"The cluster-vs-in-process latency gap is the price of synchronous rounds over loopback TCP at 3 shards on one machine; " +
 		"bytes and envelopes are the machine-independent measurements.")
 	t.Plot = ASCIIPlot("median wire bytes vs n (per backend)", "n", "bytes", true, true,
 		backendSeries(data, "_wire_bytes"))
-	return t, nil
-}
-
-// e21N is E21's graph size: large enough that gilbertrs18's long idle
-// schedule produces hundreds of barriers, so the per-barrier control
-// traffic difference is well above measurement noise.
-const e21N = 64
-
-// e21Spec measures what killing the coordinator barrier bought: the same
-// election under the legacy frameReady/frameAdvance star and under
-// piggybacked advancement, per backend and per cluster size.
-func e21Spec() Spec {
-	return Spec{
-		ID:    "E21",
-		Name:  "cluster-barrier",
-		Title: "Piggybacked round advancement vs the coordinator barrier star",
-		Claim: "Folding the barrier into the final data chunk removes all 2(k-1) control frames per global round without changing a single election outcome",
-		Preamble: "Both sessions run the identical election (same graph, same seed): one negotiated down to the legacy barrier — after every " +
-			"round's flush each worker sends frameReady to the coordinator and waits for frameAdvance, two star round-trips of latency and " +
-			"2(k-1) control frames per global barrier — and one with piggybacked advancement, where each shard's next-event contribution " +
-			"rides its final data chunk and every shard takes the k-way minimum locally. A trial fails if the two sessions disagree on the " +
-			"leader or if the piggybacked session sends any barrier control frame at all. Wall-clock on loopback understates the saving: " +
-			"on a real network each removed round-trip is a full RTT per barrier.",
-		FullTrials:  3,
-		QuickTrials: 1,
-		Points: func(cfg SuiteConfig) []Point {
-			if cfg.MaxN > 0 && cfg.MaxN < e21N {
-				return nil // the size is pinned; a cap below it drops the experiment
-			}
-			var out []Point
-			for _, shards := range []int{2, 3, 4} {
-				out = append(out, Point{Key: fmt.Sprintf("shards-%d", shards), Family: "clique", N: e21N, Mult: shards})
-			}
-			return out
-		},
-		Trial:  e21Trial,
-		Render: renderE21,
-	}
-}
-
-// e21Trial runs each backend once per barrier mode at the same seed.
-func e21Trial(cfg SuiteConfig, pt Point, setup interface{}, seed int64) (Metrics, error) {
-	shards := pt.Mult
-	m := Metrics{}
-	for i, b := range e17Backends {
-		runSeed := sim.DeriveSeed(seed, uint64(0xB2+i))
-		spec := cluster.JobSpec{Graph: serve.GraphSpec{Family: pt.Family, N: pt.N, Seed: seed}, Algorithm: b.name, Seed: runSeed}
-
-		legacy, legacyMs, err := e21Elect(shards, cluster.LocalOptions{LegacyBarrier: true}, spec)
-		if err != nil {
-			return nil, fmt.Errorf("%s legacy: %w", b.name, err)
-		}
-		piggy, piggyMs, err := e21Elect(shards, cluster.LocalOptions{}, spec)
-		if err != nil {
-			return nil, fmt.Errorf("%s piggybacked: %w", b.name, err)
-		}
-
-		// The two modes are different wire encodings of the same round
-		// schedule: any divergence is a barrier bug.
-		if fmt.Sprint(legacy.Outcome.Leaders) != fmt.Sprint(piggy.Outcome.Leaders) ||
-			legacy.Outcome.Metrics.Messages != piggy.Outcome.Metrics.Messages {
-			return nil, fmt.Errorf("%s diverged between barrier modes: legacy %v/%d msgs, piggybacked %v/%d msgs",
-				b.name, legacy.Outcome.Leaders, legacy.Outcome.Metrics.Messages,
-				piggy.Outcome.Leaders, piggy.Outcome.Metrics.Messages)
-		}
-		if piggy.Wire.BarrierFrames != 0 {
-			return nil, fmt.Errorf("%s piggybacked session sent %d barrier control frames", b.name, piggy.Wire.BarrierFrames)
-		}
-
-		// Merged Wire sums per-shard counters, so Barriers arrives
-		// multiplied by the shard count; report global barriers.
-		m[b.prefix+"_barriers"] = float64(legacy.Wire.Barriers / int64(shards))
-		m[b.prefix+"_legacy_bf"] = float64(legacy.Wire.BarrierFrames)
-		m[b.prefix+"_legacy_ms"] = legacyMs
-		m[b.prefix+"_piggy_ms"] = piggyMs
-	}
-	return m, nil
-}
-
-// e21Elect runs one election on a fresh cluster in the given mode.
-func e21Elect(shards int, opt cluster.LocalOptions, spec cluster.JobSpec) (*cluster.Result, float64, error) {
-	local, err := cluster.StartLocalWith(shards, opt)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer local.Close()
-	start := time.Now()
-	res, err := local.Elect(spec)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, time.Since(start).Seconds() * 1e3, nil
-}
-
-func renderE21(cfg SuiteConfig, data []PointData) (*Table, error) {
-	t := &Table{
-		ID:    "E21",
-		Title: "Piggybacked round advancement vs the coordinator barrier star",
-		Columns: []string{"shards", "backend", "global barriers", "star ctrl frames", "piggy ctrl frames",
-			"star ms", "piggy ms"},
-	}
-	for _, pd := range data {
-		for _, b := range e17Backends {
-			t.AddRow(d(pd.Point.Mult), b.name,
-				d64(int64(pd.Median(b.prefix+"_barriers"))),
-				d64(int64(pd.Median(b.prefix+"_legacy_bf"))),
-				"0",
-				f1(pd.Median(b.prefix+"_legacy_ms")),
-				f1(pd.Median(b.prefix+"_piggy_ms")))
-		}
-	}
-	t.AddNote("Star ctrl frames is exactly 2(k-1) per global barrier — each of the k-1 workers sends frameReady and receives " +
-		"frameAdvance — and the piggybacked column is identically zero (a trial fails otherwise): round advancement now rides the " +
-		"final data chunk each shard already sends every round. Outcomes are asserted identical between modes per trial.")
-	t.AddNote("Loopback wall-clock differences are indicative only; the structural saving is two star phases (gather readies, " +
-		"broadcast advance) collapsed into the data flush itself, i.e. one network round-trip per barrier on a real network.")
 	return t, nil
 }
 

@@ -1,5 +1,5 @@
 // Package experiments defines the reproduction suite: one Spec per
-// experiment E1..E23 of DESIGN.md, each regenerating the measurements that
+// experiment of DESIGN.md (E1..E23; E21 is retired), each regenerating the measurements that
 // stand in for the paper's quantitative claims (the paper is a theory paper
 // with no empirical tables; every theorem/lemma/corollary with a complexity
 // statement becomes a table here, plus the Figure 1/2 construction checks,
@@ -7,7 +7,7 @@
 // E17/E18 algorithm-backend head-to-head grids over the algo registry, the
 // E19 wire-level cluster measurement over loopback TCP, the E20
 // supervised-failover measurement of crash recovery on that cluster, the
-// E21 barrier-mode ablation, the E22 protocol-registry determinism
+// E22 protocol-registry determinism
 // sweep over every engine-registered protocol, and the E23 adversary
 // tournament — backend × graph family × adversary, undefended and under
 // committee-sampled validation).
@@ -196,12 +196,13 @@ func (s Spec) DataID() string {
 	return s.ID
 }
 
-// All returns every experiment spec in E1..E23 order.
+// All returns every experiment spec in E1..E23 order (E21, the retired
+// cluster-barrier ablation, has no spec).
 func All() []Spec {
 	return []Spec{
 		e1Spec(), e2Spec(), e3Spec(), e4Spec(), e5Spec(), e6Spec(), e7Spec(),
 		e8Spec(), e9Spec(), e10Spec(), e11Spec(), e12Spec(), e13Spec(), e14Spec(),
-		e15Spec(), e16Spec(), e17Spec(), e18Spec(), e19Spec(), e20Spec(), e21Spec(),
+		e15Spec(), e16Spec(), e17Spec(), e18Spec(), e19Spec(), e20Spec(),
 		e22Spec(), e23Spec(),
 	}
 }

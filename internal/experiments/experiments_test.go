@@ -21,8 +21,8 @@ func TestTableMarkdown(t *testing.T) {
 
 func TestAllSpecsRegistered(t *testing.T) {
 	specs := All()
-	if len(specs) != 23 {
-		t.Fatalf("got %d specs, want 23", len(specs))
+	if len(specs) != 22 {
+		t.Fatalf("got %d specs, want 22", len(specs))
 	}
 	seen := map[string]bool{}
 	for _, s := range specs {
@@ -50,14 +50,14 @@ func TestAllSpecsRegistered(t *testing.T) {
 	if _, ok := Get("E99"); ok {
 		t.Fatal("Get(E99) should fail")
 	}
-	if len(IDs()) != 23 {
+	if len(IDs()) != 22 {
 		t.Fatal("IDs() wrong length")
 	}
 }
 
 func TestResolve(t *testing.T) {
 	all, err := Resolve(nil)
-	if err != nil || len(all) != 23 {
+	if err != nil || len(all) != 22 {
 		t.Fatalf("Resolve(nil) = %d specs, err %v", len(all), err)
 	}
 	some, err := Resolve([]string{"E7", "E1", "E7", " E3 "})

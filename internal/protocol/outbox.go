@@ -32,7 +32,7 @@ type qpos uint64
 // no older flow is ever pushed to again.
 type upSlot struct {
 	open  qpos
-	phase int32
+	phase int
 	port  int32
 	sent  FastSet
 }
@@ -228,9 +228,9 @@ func (ob *Outbox) PushToken(port int, h Handle, phase, remaining, count int) {
 // open fragment of the latest (phase, port) only.
 func (ob *Outbox) PushUp(port int, h Handle, phase int, stage UpStage, ids []ID, dDelta, pDelta int) {
 	slot := &ob.ups[h][stage-1]
-	if slot.phase != int32(phase) || slot.port != int32(port) {
+	if slot.phase != phase || slot.port != int32(port) {
 		slot.open = 0
-		slot.phase, slot.port = int32(phase), int32(port)
+		slot.phase, slot.port = phase, int32(port)
 		slot.sent.Reset()
 	}
 	pq := &ob.ports[port]

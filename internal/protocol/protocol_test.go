@@ -446,6 +446,29 @@ func TestOutboxUpMergeAndChunk(t *testing.T) {
 	})
 }
 
+// The per-edge filter belongs to the exact phase: an id pushed at phase 1
+// and again at phase 1+2^32 (forged token phases reach any 64-bit value)
+// is sent once per phase.
+func TestOutboxUpFilterExactPhase(t *testing.T) {
+	bothModes(t, func(t *testing.T, codec *Codec) {
+		const far = 1 + 1<<32
+		m, got := runOutbox(t, codec, func(ob *Outbox) {
+			h := ob.NewHandle(9)
+			ob.PushUp(0, h, 1, UpX1, []ID{5}, 0, 0)
+			ob.PushUp(0, h, far, UpX1, []ID{5}, 0, 0)
+		})
+		if m.Messages != 2 {
+			t.Fatalf("messages = %d, want 2 (one per phase)", m.Messages)
+		}
+		for i, phase := range []int{1, far} {
+			up := got[i].Payload.(*UpMsg)
+			if up.Phase != phase || len(up.IDs) != 1 || up.IDs[0] != 5 {
+				t.Fatalf("message %d: phase %d ids %v, want phase %d ids [5]", i, up.Phase, up.IDs, phase)
+			}
+		}
+	})
+}
+
 func TestOutboxDownDedupe(t *testing.T) {
 	// Downcast ids are not filtered here: the walk tree pushes each id to
 	// each child once per phase (TestNoEdgeCarriesAnIDTwice in

@@ -32,7 +32,6 @@ type Metrics struct {
 	ClusterBytes            atomic.Int64
 	ClusterEnvelopes        atomic.Int64
 	ClusterBarriers         atomic.Int64
-	ClusterBarrierFrames    atomic.Int64
 	ClusterCompressedFrames atomic.Int64
 	ClusterRawBytes         atomic.Int64
 	ClusterCompressedBytes  atomic.Int64
@@ -101,7 +100,6 @@ func (m *Metrics) AddClusterWire(w ClusterWire) {
 	m.ClusterBytes.Add(w.Bytes)
 	m.ClusterEnvelopes.Add(w.Envelopes)
 	m.ClusterBarriers.Add(w.Barriers)
-	m.ClusterBarrierFrames.Add(w.BarrierFrames)
 	m.ClusterCompressedFrames.Add(w.CompressedFrames)
 	m.ClusterRawBytes.Add(w.RawBytes)
 	m.ClusterCompressedBytes.Add(w.CompressedBytes)
@@ -211,7 +209,6 @@ func (m *Metrics) WriteProm(w io.Writer, reg *Registry, queueDepth, queueCap, ru
 	fmt.Fprintf(w, "electd_cluster_wire_bytes_total %d\n", m.ClusterBytes.Load())
 	fmt.Fprintf(w, "electd_cluster_envelopes_total %d\n", m.ClusterEnvelopes.Load())
 	fmt.Fprintf(w, "electd_cluster_barriers_total %d\n", m.ClusterBarriers.Load())
-	fmt.Fprintf(w, "electd_cluster_barrier_frames_total %d\n", m.ClusterBarrierFrames.Load())
 	fmt.Fprintf(w, "electd_cluster_compressed_frames_total %d\n", m.ClusterCompressedFrames.Load())
 	fmt.Fprintf(w, "electd_cluster_raw_bytes_total %d\n", m.ClusterRawBytes.Load())
 	fmt.Fprintf(w, "electd_cluster_compressed_bytes_total %d\n", m.ClusterCompressedBytes.Load())

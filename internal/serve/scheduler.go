@@ -56,11 +56,8 @@ type ClusterWire struct {
 	Bytes  int64
 	// Envelopes counts cross-shard protocol messages.
 	Envelopes int64
-	// Barriers counts round-barrier iterations; BarrierFrames the
-	// ready/advance control frames of the legacy star (zero under
-	// piggybacked advancement).
-	Barriers      int64
-	BarrierFrames int64
+	// Barriers counts round-barrier iterations.
+	Barriers int64
 	// CompressedFrames counts data frames sent flate-compressed;
 	// RawBytes/CompressedBytes are their payloads before and after.
 	CompressedFrames int64

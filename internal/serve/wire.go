@@ -154,13 +154,6 @@ type FaultSpec struct {
 	ByzNodes []int `json:"byz_nodes,omitempty"`
 }
 
-// Byzantine reports whether the spec carries an active adversary — the
-// one capability cluster sessions negotiate separately, since running it
-// on a member that cannot mutate sends would silently diverge from sim.
-func (f FaultSpec) Byzantine() bool {
-	return f.Byz != 0 || len(f.ByzNodes) > 0
-}
-
 // IsZero reports perfect delivery.
 func (f FaultSpec) IsZero() bool {
 	return f.Drop == 0 && f.DelayMax == 0 && f.CrashFrac == 0 && f.PartitionFrac == 0 &&

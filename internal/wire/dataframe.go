@@ -13,11 +13,9 @@ package wire
 //	[flag == ChunkFinalNext: varint next][uvarint count][count envelopes]
 //
 // The flag byte is the chunking protocol: ChunkMore frames continue the
-// round, a final frame ends it. ChunkFinalNext is the piggybacked barrier:
-// the sender's next-event contribution rides the final chunk, so round
-// advancement needs no separate control round-trip. ChunkFinal (no next)
-// is the legacy layout, kept for mixed-version clusters whose barrier
-// still runs the ready/advance star.
+// round, and the ChunkFinalNext frame ends it. The final chunk is the
+// barrier: the sender's next-event contribution rides it, so round
+// advancement needs no separate control round-trip.
 
 import (
 	"bytes"
@@ -32,9 +30,9 @@ import (
 const (
 	// ChunkMore: more chunks of this (peer, round) flush follow.
 	ChunkMore = 0
-	// ChunkFinal: the flush's last chunk, no piggybacked barrier (the
-	// legacy ready/advance star carries round advancement).
-	ChunkFinal = 1
+	// Flag 1 is reserved: it marked a final chunk without a next-event
+	// round, for the retired ready/advance barrier.
+
 	// ChunkFinalNext: the flush's last chunk, carrying the sender's
 	// piggybacked next-event round.
 	ChunkFinalNext = 2
@@ -51,7 +49,7 @@ type DataHeader struct {
 	Epoch uint64
 	// Round is the global event round being flushed.
 	Round int
-	// Flag is the chunking flag (ChunkMore/ChunkFinal/ChunkFinalNext).
+	// Flag is the chunking flag (ChunkMore or ChunkFinalNext).
 	Flag byte
 	// Next is the sender's barrier contribution — the minimum of its
 	// pre-receive next pending event round and the earliest due round it
@@ -97,7 +95,7 @@ func DecodeDataHeader(b []byte) (DataHeader, []byte, error) {
 	}
 	h.Flag = b[0]
 	b = b[1:]
-	if h.Flag > ChunkFinalNext {
+	if h.Flag != ChunkMore && h.Flag != ChunkFinalNext {
 		return h, nil, fmt.Errorf("%w: unknown chunk flag %d", ErrCorrupt, h.Flag)
 	}
 	h.Next = -1

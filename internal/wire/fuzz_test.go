@@ -49,10 +49,10 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(wire.AppendEpochChange(nil, wire.EpochChange{
 		Epoch: 4, Live: []bool{true, false, true}, Rejoin: 1, RejoinAddr: "127.0.0.1:7001",
 	}))
-	// Data-frame headers in all three chunk layouts, including the
-	// piggybacked final chunk that carries the shard's next-event round.
+	// Data-frame headers in both chunk layouts, including the final chunk
+	// that carries the shard's next-event round, plus the reserved flag 1.
 	f.Add(wire.AppendDataHeader(nil, wire.DataHeader{Epoch: 2, Round: 9, Flag: wire.ChunkMore, Count: 4}))
-	f.Add(wire.AppendDataHeader(nil, wire.DataHeader{Epoch: 2, Round: 9, Flag: wire.ChunkFinal, Count: 0}))
+	f.Add(wire.AppendDataHeader(nil, wire.DataHeader{Epoch: 2, Round: 9, Flag: 1, Count: 0}))
 	f.Add(wire.AppendDataHeader(nil, wire.DataHeader{Epoch: 3, Round: 11, Flag: wire.ChunkFinalNext, Next: 14, Count: 2}))
 	f.Add(wire.AppendDataHeader(nil, wire.DataHeader{Epoch: 3, Round: 11, Flag: wire.ChunkFinalNext, Next: -1, Count: 0}))
 	if z, ok := wire.AppendCompressed(nil, make([]byte, 4096)); ok {

@@ -136,3 +136,24 @@ func TestControlRoundTrip(t *testing.T) {
 		t.Fatal("oversized leader shard decoded cleanly")
 	}
 }
+
+// TestDataHeaderFlags: a data frame is a ChunkMore continuation or the
+// ChunkFinalNext barrier chunk; the reserved flag 1 and unknown flags
+// are corruption.
+func TestDataHeaderFlags(t *testing.T) {
+	for _, h := range []wire.DataHeader{
+		{Epoch: 2, Round: 9, Flag: wire.ChunkMore, Next: -1, Count: 0},
+		{Epoch: 3, Round: 11, Flag: wire.ChunkFinalNext, Next: 14, Count: 0},
+	} {
+		got, rest, err := wire.DecodeDataHeader(wire.AppendDataHeader(nil, h))
+		if err != nil || got != h || len(rest) != 0 {
+			t.Fatalf("data header round-trip: %+v -> %+v (%v)", h, got, err)
+		}
+	}
+	for _, flag := range []byte{1, 3, 255} {
+		b := wire.AppendDataHeader(nil, wire.DataHeader{Epoch: 2, Round: 9, Flag: flag})
+		if _, _, err := wire.DecodeDataHeader(b); err == nil {
+			t.Fatalf("chunk flag %d decoded cleanly", flag)
+		}
+	}
+}

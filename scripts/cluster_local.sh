@@ -10,9 +10,7 @@
 # The script builds cmd/electnode, starts the coordinator in -serve mode
 # on an ephemeral port, joins shards-1 workers, submits one election per
 # backend (gilbertrs18, floodmax, kpprt), asserts exactly one leader per
-# election — each with zero barrier control frames (the piggybacked
-# barrier is the negotiated default) — and checks every process exits
-# cleanly on shutdown.
+# election, and checks every process exits cleanly on shutdown.
 #
 # A compression pass then brings up a fresh -compress session and
 # asserts a floodmax election actually crossed flate-compressed (with
@@ -92,7 +90,6 @@ for backend in gilbertrs18 floodmax kpprt; do
     leaders_list="$(printf '%s\n' "$out" | sed -n 's/^outcome: leaders=\[\([0-9 ]*\)\].*/\1/p')"
     leaders="$(printf '%s' "$leaders_list" | wc -w)"
     envelopes="$(printf '%s\n' "$out" | sed -n 's/^wire: .*envelopes=\([0-9]*\).*/\1/p')"
-    barrier_frames="$(printf '%s\n' "$out" | sed -n 's/^wire: .*barrier_frames=\([0-9]*\).*/\1/p')"
     if [ "$leaders" != "1" ] || ! printf '%s\n' "$out" | grep -q 'success=true'; then
         echo "cluster_local: FAIL: $backend elected $leaders leader(s)" >&2
         printf '%s\n' "$out" >&2
@@ -101,12 +98,8 @@ for backend in gilbertrs18 floodmax kpprt; do
         echo "cluster_local: FAIL: $backend sent no envelopes over the wire" >&2
         printf '%s\n' "$out" >&2
         fail=1
-    elif [ "$barrier_frames" != "0" ]; then
-        echo "cluster_local: FAIL: $backend sent $barrier_frames barrier control frames; the piggybacked barrier should send none" >&2
-        printf '%s\n' "$out" >&2
-        fail=1
     else
-        echo "cluster_local: OK: $backend elected exactly one leader ($envelopes envelopes, 0 barrier control frames)"
+        echo "cluster_local: OK: $backend elected exactly one leader ($envelopes envelopes)"
     fi
 done
 
@@ -151,8 +144,8 @@ fi
 
 # ---- electd -cluster pass: wire counters through /metrics -------------------
 
-# electd dispatching to this cluster must export the barrier counters:
-# barriers accumulate, barrier control frames stay zero (piggybacked).
+# electd dispatching to this cluster must export the barrier counter:
+# barriers accumulate.
 echo "cluster_local: electd -cluster pass: /metrics wire counters..."
 electd_bin="$workdir/electd"
 go build -o "$electd_bin" ./cmd/electd
@@ -178,7 +171,6 @@ if [ -s "$eready" ]; then
     done
     emetrics="$(curl -fsS "$ebase/metrics")"
     ebarriers="$(printf '%s\n' "$emetrics" | awk '/^electd_cluster_barriers_total /{print $2}')"
-    ebframes="$(printf '%s\n' "$emetrics" | awk '/^electd_cluster_barrier_frames_total /{print $2}')"
     if [ "$state" != "done" ]; then
         echo "cluster_local: FAIL: electd -cluster job ended in state '$state'" >&2
         cat "$workdir/electd.log" >&2
@@ -187,11 +179,8 @@ if [ -s "$eready" ]; then
         echo "cluster_local: FAIL: electd reported no cluster barriers" >&2
         printf '%s\n' "$emetrics" | grep electd_cluster >&2
         fail=1
-    elif [ "$ebframes" != "0" ]; then
-        echo "cluster_local: FAIL: electd reported $ebframes barrier control frames over $ebarriers barriers; piggybacked sessions send none" >&2
-        fail=1
     else
-        echo "cluster_local: OK: electd /metrics shows $ebarriers barriers and 0 barrier control frames"
+        echo "cluster_local: OK: electd /metrics shows $ebarriers barriers"
     fi
 else
     echo "cluster_local: FAIL: electd never wrote its ready file" >&2
@@ -273,7 +262,6 @@ if zout="$("$bin" -submit "$zaddr" -graph "$GRAPH" -n "$N" -algo floodmax -seed 
     zframes="$(printf '%s\n' "$zout" | sed -n 's/^compression: compressed_frames=\([0-9]*\).*/\1/p')"
     zraw="$(printf '%s\n' "$zout" | sed -n 's/^compression: .*raw_bytes=\([0-9]*\).*/\1/p')"
     zbytes="$(printf '%s\n' "$zout" | sed -n 's/^compression: .*compressed_bytes=\([0-9]*\).*/\1/p')"
-    zbarrier="$(printf '%s\n' "$zout" | sed -n 's/^wire: .*barrier_frames=\([0-9]*\).*/\1/p')"
     if ! printf '%s\n' "$zout" | grep -q 'success=true'; then
         echo "cluster_local: FAIL: compressed election did not elect a unique leader" >&2
         printf '%s\n' "$zout" >&2
@@ -284,9 +272,6 @@ if zout="$("$bin" -submit "$zaddr" -graph "$GRAPH" -n "$N" -algo floodmax -seed 
         fail=1
     elif [ "$zbytes" -ge "$zraw" ]; then
         echo "cluster_local: FAIL: compression grew the wire ($zraw raw -> $zbytes compressed)" >&2
-        fail=1
-    elif [ "$zbarrier" != "0" ]; then
-        echo "cluster_local: FAIL: compressed session sent $zbarrier barrier control frames" >&2
         fail=1
     else
         echo "cluster_local: OK: compressed election held ($zframes compressed frames, $zraw -> $zbytes bytes)"

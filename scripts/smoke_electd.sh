@@ -150,7 +150,7 @@ echo "smoke: per-backend election counters present"
 # dashboards can rely on their presence; electd ran in-process here.
 for counter in electd_cluster_wire_frames_total electd_cluster_wire_bytes_total \
   electd_cluster_envelopes_total electd_cluster_barriers_total \
-  electd_cluster_barrier_frames_total electd_cluster_compressed_frames_total \
+  electd_cluster_compressed_frames_total \
   electd_cluster_raw_bytes_total electd_cluster_compressed_bytes_total; do
   echo "$metrics" | grep -q "^$counter " \
     || fail "missing cluster wire counter $counter: $(echo "$metrics" | grep electd_cluster)"

@@ -128,8 +128,8 @@ type (
 	ClusterReign = cluster.Reign
 	// ClusterEvent is one supervision state change (lease/death/rejoin).
 	ClusterEvent = cluster.Event
-	// LocalClusterOptions tunes a StartLocalClusterWith session: legacy
-	// coordinator-star barriers, compressed data frames.
+	// LocalClusterOptions tunes a StartLocalClusterWith session:
+	// compressed data frames and a trace sink.
 	LocalClusterOptions = cluster.LocalOptions
 	// FaultSpec is the wire form of a delivery-plane adversary.
 	FaultSpec = serve.FaultSpec
@@ -305,9 +305,8 @@ func ElectCluster(coordinator string, job ClusterJob) (*ClusterResult, error) {
 func StartLocalCluster(shards int) (*LocalCluster, error) { return cluster.StartLocal(shards) }
 
 // StartLocalClusterWith is StartLocalCluster with session options:
-// LegacyBarrier selects the pre-piggyback coordinator star (what a
-// mixed-version cluster negotiates down to), Compress enables flate
-// compression of large data frames.
+// Compress enables flate compression of large data frames, TraceSink
+// receives every shard's trace events.
 func StartLocalClusterWith(shards int, opt LocalClusterOptions) (*LocalCluster, error) {
 	return cluster.StartLocalWith(shards, opt)
 }

@@ -195,7 +195,7 @@ func TestPublicRunMany(t *testing.T) {
 
 func TestPublicExperiments(t *testing.T) {
 	ids := wcle.ExperimentIDs()
-	if len(ids) != 23 {
+	if len(ids) != 22 {
 		t.Fatalf("experiment ids = %v", ids)
 	}
 	tab, err := wcle.RunExperiment("E3", 1, true)
