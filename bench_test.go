@@ -405,7 +405,7 @@ func benchClusterElection(b *testing.B, opt wcle.LocalClusterOptions) {
 	b.ResetTimer()
 	var barriers int64
 	for i := 0; i < b.N; i++ {
-		res, err := local.Elect(spec)
+		res, err := local.Run(spec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -267,7 +267,7 @@ func runCoordinator(cfg cluster.CoordinatorConfig, serve, supervise bool, readyF
 		coord.Shutdown()
 		return nil
 	}
-	res, err := coord.Elect(spec)
+	res, err := coord.Run(spec)
 	if err != nil {
 		return err
 	}

@@ -126,16 +126,43 @@ func run() error {
 		}()
 	}
 
-	if *protoName != "" {
-		g, err := buildGraph(*family, *n, *d, *alpha, *seed)
-		if err != nil {
-			return err
+	// name is the protocol that runs through the generic engine; empty
+	// means the paper's algorithm through its typed entry points.
+	name := *protoName
+	if name == "" {
+		if *defend {
+			// The committee wrapper lives in the engine path; the election
+			// backends are all engine-registered, so the defended form is
+			// one flag away.
+			return fmt.Errorf("-defend requires protocol mode: rerun with -protocol %s", *algoName)
 		}
-		fault, err := buildFault(*drop, *delay, *crash, *byz)
-		if err != nil {
-			return err
+		if !algo.Known(*algoName) {
+			// Fail before any graph work, naming what would have worked:
+			// the registry knows its backends, so the error should too.
+			return fmt.Errorf("unknown algorithm %q; registered backends: %s",
+				*algoName, strings.Join(wcle.Algorithms(), ", "))
 		}
-		return runProtocol(g, *protoName, wcle.ProtocolConfig{
+		if *algoName != wcle.DefaultAlgorithm() {
+			// Non-default backends run through the generic engine, as
+			// -protocol does; the paper-specific knobs stay with the
+			// default algorithm rather than being silently ignored.
+			if *explicit || *phases || *fixed > 0 || *resend > 0 || *large || *c1 > 0 || *c2 > 0 {
+				return fmt.Errorf("-explicit/-phases/-fixed-tu/-resend/-large/-c1/-c2 only apply to %s", wcle.DefaultAlgorithm())
+			}
+			name = *algoName
+		}
+	}
+	g, err := buildGraph(*family, *n, *d, *alpha, *seed)
+	if err != nil {
+		return err
+	}
+	fault, err := buildFault(*drop, *delay, *crash, *byz)
+	if err != nil {
+		return err
+	}
+	opts := wcle.Options{Seed: *seed, Budget: *budget, Fault: fault, Tracer: tr}
+	if name != "" {
+		return runProtocol(g, name, wcle.ProtocolConfig{
 			Source:  *root,
 			Root:    *root,
 			Rumor:   *rumor,
@@ -143,25 +170,9 @@ func run() error {
 			Op:      *op,
 			Hops:    *hops,
 			Defend:  *defend,
-		}, wcle.AlgorithmOptions{Seed: *seed, Budget: *budget, Fault: fault, Tracer: tr})
-	}
-	if *defend {
-		// The committee wrapper lives in the engine path; the election
-		// backends are all engine-registered, so the defended form is one
-		// flag away.
-		return fmt.Errorf("-defend requires protocol mode: rerun with -protocol %s", *algoName)
+		}, opts)
 	}
 
-	if !algo.Known(*algoName) {
-		// Fail before any graph work, naming what would have worked: the
-		// registry knows its backends, so the error should too.
-		return fmt.Errorf("unknown algorithm %q; registered backends: %s",
-			*algoName, strings.Join(wcle.Algorithms(), ", "))
-	}
-	g, err := buildGraph(*family, *n, *d, *alpha, *seed)
-	if err != nil {
-		return err
-	}
 	cfg := wcle.DefaultConfig()
 	if *c1 > 0 {
 		cfg.C1 = *c1
@@ -176,20 +187,9 @@ func run() error {
 		cfg.FixedWalkLen = *fixed
 	}
 	cfg.Resend = *resend
-	opts := wcle.Options{Seed: *seed, Budget: *budget, Tracer: tr}
-	fault, err := buildFault(*drop, *delay, *crash, *byz)
-	if err != nil {
-		return err
-	}
-	var faults *FaultLog
-	if fault != nil {
-		opts.Fault = fault
-		faults = &FaultLog{}
-		opts.FaultObserver = faults
-	}
+	faults := attachFaultLog(&opts)
 	var phaseObs *core.PhaseObserver
 	if *phases {
-		var err error
 		phaseObs, err = core.NewPhaseObserver(g.N(), cfg)
 		if err != nil {
 			return err
@@ -198,37 +198,6 @@ func run() error {
 	}
 
 	fmt.Printf("graph %s: n=%d m=%d\n", g.Name(), g.N(), g.M())
-	if *algoName != wcle.DefaultAlgorithm() {
-		// Non-default backends print the backend-independent outcome;
-		// the paper-specific knobs stay with the default algorithm
-		// rather than being silently ignored.
-		if *explicit || *phases || *fixed > 0 || *resend > 0 || *large || *c1 > 0 || *c2 > 0 {
-			return fmt.Errorf("-explicit/-phases/-fixed-tu/-resend/-large/-c1/-c2 only apply to %s", wcle.DefaultAlgorithm())
-		}
-		acfg := wcle.AlgorithmConfig{Core: cfg, Horizon: *horizon}
-		acfg.Sublinear.Hops = *hops
-		out, err := wcle.ElectWith(*algoName, g, acfg, wcle.AlgorithmOptions{
-			Seed:          *seed,
-			Budget:        *budget,
-			Observer:      opts.Observer,
-			Fault:         opts.Fault,
-			FaultObserver: opts.FaultObserver,
-			Tracer:        tr,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("algorithm: %s (explicit=%v)\n", out.Algorithm, out.Explicit)
-		fmt.Printf("outcome: leaders=%v success=%v contenders=%d\n", out.Leaders, out.Success, out.Contenders)
-		fmt.Printf("leaderRound=%d totalRounds=%d\n", out.LeaderRound, out.Rounds)
-		fmt.Printf("messages=%d bits=%d dropped=%d lost=%d delayed=%d mutated=%d byKind=%v\n",
-			out.Metrics.Messages, out.Metrics.Bits, out.Metrics.Dropped,
-			out.Metrics.FaultDrops, out.Metrics.Delayed, out.Metrics.Mutated, out.Metrics.ByKind)
-		if faults != nil {
-			fmt.Printf("faults: lost=%d delayed=%d crashed=%d mutated=%d\n", faults.Drops, faults.Delays, faults.Crashes, faults.Mutations)
-		}
-		return nil
-	}
 	if *explicit {
 		res, err := wcle.ElectExplicit(g, cfg, opts, 0)
 		if err != nil {
@@ -247,9 +216,7 @@ func run() error {
 		return err
 	}
 	printResult(res)
-	if faults != nil {
-		fmt.Printf("faults: lost=%d delayed=%d crashed=%d mutated=%d\n", faults.Drops, faults.Delays, faults.Crashes, faults.Mutations)
-	}
+	faults.print()
 	if phaseObs != nil {
 		fmt.Println("per-phase breakdown (tu doubles each phase):")
 		for p := 0; p < phaseObs.UsedPhases(); p++ {
@@ -265,6 +232,7 @@ func run() error {
 // cost accounting, and (when the protocol is an election backend) the
 // election outcome.
 func runProtocol(g *wcle.Graph, name string, cfg wcle.ProtocolConfig, opts wcle.AlgorithmOptions) error {
+	faults := attachFaultLog(&opts)
 	rep, err := wcle.Run(name, g, cfg, opts)
 	if err != nil {
 		return err
@@ -301,7 +269,26 @@ func runProtocol(g *wcle.Graph, name string, cfg wcle.ProtocolConfig, opts wcle.
 		fmt.Printf("election outcome: leaders=%v success=%v contenders=%d leaderRound=%d\n",
 			out.Leaders, out.Success, out.Contenders, out.LeaderRound)
 	}
+	faults.print()
 	return nil
+}
+
+// attachFaultLog records a faulty run's interventions: it returns nil,
+// and attaches nothing, when opts carries no fault plane.
+func attachFaultLog(opts *wcle.Options) *FaultLog {
+	if opts.Fault == nil {
+		return nil
+	}
+	faults := &FaultLog{}
+	opts.FaultObserver = faults
+	return faults
+}
+
+// print writes the run's fault tally line; a nil log prints nothing.
+func (l *FaultLog) print() {
+	if l != nil {
+		fmt.Printf("faults: lost=%d delayed=%d crashed=%d mutated=%d\n", l.Drops, l.Delays, l.Crashes, l.Mutations)
+	}
 }
 
 // buildFault assembles the run's fault plane from the CLI flags.

@@ -24,7 +24,7 @@ func TestAnalyzeClusterTrace(t *testing.T) {
 		Graph: serve.GraphSpec{Family: "rr", N: 48, D: 8, Seed: 1},
 		Seed:  7,
 	}
-	if _, err := lc.Elect(spec); err != nil {
+	if _, err := lc.Run(spec); err != nil {
 		t.Fatal(err)
 	}
 
@@ -115,7 +115,7 @@ func TestKindsAddsFaultCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lc.Close()
-	res, err := lc.Elect(cluster.JobSpec{
+	res, err := lc.Run(cluster.JobSpec{
 		Graph: serve.GraphSpec{Family: "rr", N: 48, D: 8, Seed: 1},
 		Seed:  7,
 		Fault: serve.FaultSpec{Drop: 0.05, DelayMax: 2},

@@ -47,19 +47,22 @@
 // both (ProtocolConfig.Defend wraps any protocol in the committee-sampled
 // validation defense).
 // Every entry point takes the same per-run options (Options,
-// AlgorithmOptions and ProtocolOptions name one type). The
-// election-shaped entry points (Elect, ElectWith, ElectManyWith) remain as
-// deprecated thin wrappers:
+// AlgorithmOptions and ProtocolOptions name one type). Every election
+// backend is built from the flat ProtocolConfig; Elect and ElectExplicit
+// stay as the entry points typed for the paper's algorithm, because they
+// take its full Config (message mode, ablations, test hooks) and return
+// its native Result:
 //
-//	out, err := wcle.ElectWith("kpprt", g, wcle.AlgorithmConfig{},
+//	rep, err := wcle.Run("kpprt", g, wcle.ProtocolConfig{},
 //	    wcle.AlgorithmOptions{Seed: 7})
+//	// rep.Election.Leaders, rep.Election.Metrics.Messages
 //
 // # Packages
 //
 // The root package is a facade over the internal packages: internal/core
 // (the paper's algorithm), internal/engine (the generic protocol contract
-// and registry), internal/algo (the election backend registry, adapted
-// over the engine), internal/sim (the synchronous CONGEST engine),
+// and registry), internal/algo (the election backends, registered in the
+// engine), internal/sim (the synchronous CONGEST engine),
 // internal/graph (families and the lower-bound constructions),
 // internal/spectral (mixing times and conductance), internal/protocol
 // (CONGEST message plumbing), internal/broadcast, internal/baseline,

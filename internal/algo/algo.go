@@ -37,15 +37,37 @@ type Outcome struct {
 	Detail interface{}
 }
 
-// Algorithm is one election protocol runnable on the sim delivery planes.
+// ElectionProtocol is an engine.Protocol that can fold a finished run into
+// an election Outcome. Finish receives the same instance Init produced
+// (type-assert it to reach backend-native state), the engine-level result
+// of the run, and the options it ran under.
+//
 // Implementations must be pure functions of (graph, options): all
 // randomness flows from engine.Options.Seed through the per-node sim
-// streams, so a run replays byte-identically. Instances are cheap,
-// immutable configuration holders and safe for concurrent use; all per-run
-// state lives inside Run.
-type Algorithm interface {
-	// Name returns the backend's registry name.
-	Name() string
-	// Run executes one election on g.
-	Run(g *graph.Graph, opts engine.Options) (*Outcome, error)
+// streams, so a run replays byte-identically. Values are cheap, immutable
+// configuration holders and safe for concurrent use; all per-run state
+// lives in the instance Init returns.
+type ElectionProtocol interface {
+	engine.Protocol
+	Finish(inst engine.Instance, res *engine.Result, opts engine.Options) (*Outcome, error)
+}
+
+// Run executes one election of p on g: Init, the generic engine run, and
+// Finish. It returns the Outcome together with the engine-level report;
+// set opts.CountSends for its per-node send counts, the currency of the
+// cluster's keystone invariant.
+func Run(p ElectionProtocol, g *graph.Graph, opts engine.Options) (*Outcome, *engine.Result, error) {
+	inst, err := p.Init(g)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := engine.RunInstance(p, g, inst, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, err := p.Finish(inst, res, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, res, nil
 }

@@ -36,13 +36,13 @@ import (
 type TestGraph struct {
 	Name string
 	G    *graph.Graph
-	Cfg  algo.Config
+	Cfg  engine.Config
 }
 
 // Graphs returns the standard conformance families — cycle, torus,
 // expander (random 8-regular), clique — each configured by cfgFor (which
-// may return the zero Config for backend defaults).
-func Graphs(t *testing.T, cfgFor func(name string, g *graph.Graph) algo.Config) []TestGraph {
+// may return the zero engine.Config for backend defaults).
+func Graphs(t *testing.T, cfgFor func(name string, g *graph.Graph) engine.Config) []TestGraph {
 	t.Helper()
 	build := func(name string, g *graph.Graph, err error) TestGraph {
 		if err != nil {
@@ -66,35 +66,36 @@ func Graphs(t *testing.T, cfgFor func(name string, g *graph.Graph) algo.Config) 
 // conformance graph. The default target builds the backend and runs it in
 // process; alternative delivery planes (the cluster transport over
 // loopback TCP) substitute their own and get the same invariant battery.
-type Runner func(name string, cfg algo.Config, g *graph.Graph, opts engine.Options) (*algo.Outcome, error)
+type Runner func(name string, cfg engine.Config, g *graph.Graph, opts engine.Options) (*algo.Outcome, error)
 
 // Conformance runs the invariant battery for one backend across the
 // standard graphs, in process. seeds are the asserted election seeds
 // (deterministic: once green, always green).
-func Conformance(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) algo.Config, seeds []int64) {
+func Conformance(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) engine.Config, seeds []int64) {
 	t.Helper()
-	ConformanceOn(t, name, cfgFor, seeds, func(name string, cfg algo.Config, g *graph.Graph, opts engine.Options) (*algo.Outcome, error) {
-		a, err := algo.New(name, cfg)
+	ConformanceOn(t, name, cfgFor, seeds, func(name string, cfg engine.Config, g *graph.Graph, opts engine.Options) (*algo.Outcome, error) {
+		p, err := algo.New(name, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return a.Run(g, opts)
+		out, _, err := algo.Run(p, g, opts)
+		return out, err
 	})
 }
 
 // ConformanceOn runs the invariant battery for one backend through an
 // arbitrary delivery plane.
-func ConformanceOn(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) algo.Config, seeds []int64, run Runner) {
+func ConformanceOn(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) engine.Config, seeds []int64, run Runner) {
 	t.Helper()
 	for _, tg := range Graphs(t, cfgFor) {
 		tg := tg
 		t.Run(tg.Name, func(t *testing.T) {
-			a, err := algo.New(name, tg.Cfg)
+			p, err := algo.New(name, tg.Cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.Name() != algo.Resolve(name) {
-				t.Fatalf("backend reports name %q, registry says %q", a.Name(), name)
+			if p.Name() != algo.Resolve(name) {
+				t.Fatalf("backend reports name %q, registry says %q", p.Name(), name)
 			}
 			for _, seed := range seeds {
 				opts := engine.Options{Seed: seed}
@@ -157,6 +158,7 @@ func assertSameOutcome(t *testing.T, seed int64, what string, a, b *algo.Outcome
 	t.Helper()
 	same := len(a.Leaders) == len(b.Leaders) &&
 		a.Success == b.Success &&
+		a.Explicit == b.Explicit &&
 		a.Contenders == b.Contenders &&
 		a.LeaderRound == b.LeaderRound &&
 		a.Rounds == b.Rounds &&

@@ -57,14 +57,14 @@ func PinnedAdversaries(g *graph.Graph) []int {
 
 // ByzantineConformance runs the Byzantine battery for one backend in
 // process.
-func ByzantineConformance(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) algo.Config, seeds []int64) {
+func ByzantineConformance(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) engine.Config, seeds []int64) {
 	t.Helper()
 	ByzantineConformanceOn(t, name, cfgFor, seeds, InProcessFaultRunner)
 }
 
 // ByzantineConformanceOn runs the Byzantine battery for one backend
 // through an arbitrary delivery plane.
-func ByzantineConformanceOn(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) algo.Config, seeds []int64, run FaultRunner) {
+func ByzantineConformanceOn(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) engine.Config, seeds []int64, run FaultRunner) {
 	t.Helper()
 	for _, tg := range FaultGraphs(t, cfgFor) {
 		tg := tg
@@ -119,7 +119,7 @@ func ByzantineConformanceOn(t *testing.T, name string, cfgFor func(graphName str
 // TCP cluster). Mutation happens at dispatch on the sender-hosting shard
 // with sender-keyed randomness, so the forged bytes themselves cross the
 // wire; this battery is the CI enforcement of that design.
-func ByzantineParityOn(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) algo.Config, seeds []int64, ref, under FaultRunner) {
+func ByzantineParityOn(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) engine.Config, seeds []int64, ref, under FaultRunner) {
 	t.Helper()
 	for _, tg := range FaultGraphs(t, cfgFor) {
 		tg := tg

@@ -43,7 +43,7 @@ func FaultCases() []FaultCase {
 // families (the paper's setting), where mild adversaries leave an
 // election its conductance headroom. Sparse families (cycle) under drops
 // are a different regime — round caps, not invariants.
-func FaultGraphs(t *testing.T, cfgFor func(name string, g *graph.Graph) algo.Config) []TestGraph {
+func FaultGraphs(t *testing.T, cfgFor func(name string, g *graph.Graph) engine.Config) []TestGraph {
 	t.Helper()
 	all := Graphs(t, cfgFor)
 	keep := all[:0]
@@ -59,28 +59,29 @@ func FaultGraphs(t *testing.T, cfgFor func(name string, g *graph.Graph) algo.Con
 // conformance graph under the given adversary. The in-process default
 // instantiates fault.Plane(); the cluster transport ships the spec in the
 // JobSpec instead.
-type FaultRunner func(name string, cfg algo.Config, g *graph.Graph, opts engine.Options, fault serve.FaultSpec) (*algo.Outcome, error)
+type FaultRunner func(name string, cfg engine.Config, g *graph.Graph, opts engine.Options, fault serve.FaultSpec) (*algo.Outcome, error)
 
 // InProcessFaultRunner is the reference FaultRunner: build the backend,
 // attach the spec's plane, run in process.
-func InProcessFaultRunner(name string, cfg algo.Config, g *graph.Graph, opts engine.Options, fault serve.FaultSpec) (*algo.Outcome, error) {
-	a, err := algo.New(name, cfg)
+func InProcessFaultRunner(name string, cfg engine.Config, g *graph.Graph, opts engine.Options, fault serve.FaultSpec) (*algo.Outcome, error) {
+	p, err := algo.New(name, cfg)
 	if err != nil {
 		return nil, err
 	}
 	opts.Fault = fault.Plane()
-	return a.Run(g, opts)
+	out, _, err := algo.Run(p, g, opts)
+	return out, err
 }
 
 // FaultConformance runs the fault battery for one backend in process.
-func FaultConformance(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) algo.Config, seeds []int64) {
+func FaultConformance(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) engine.Config, seeds []int64) {
 	t.Helper()
 	FaultConformanceOn(t, name, cfgFor, seeds, InProcessFaultRunner)
 }
 
 // FaultConformanceOn runs the fault battery for one backend through an
 // arbitrary delivery plane.
-func FaultConformanceOn(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) algo.Config, seeds []int64, run FaultRunner) {
+func FaultConformanceOn(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) engine.Config, seeds []int64, run FaultRunner) {
 	t.Helper()
 	for _, tg := range FaultGraphs(t, cfgFor) {
 		tg := tg
@@ -130,7 +131,7 @@ func FaultConformanceOn(t *testing.T, name string, cfgFor func(graphName string,
 // FaultParityOn runs every battery case through two delivery planes and
 // demands identical outcomes — the keystone determinism contract under
 // faults (the in-process sim vs. the TCP cluster).
-func FaultParityOn(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) algo.Config, seeds []int64, ref, under FaultRunner) {
+func FaultParityOn(t *testing.T, name string, cfgFor func(graphName string, g *graph.Graph) engine.Config, seeds []int64, ref, under FaultRunner) {
 	t.Helper()
 	for _, tg := range FaultGraphs(t, cfgFor) {
 		tg := tg

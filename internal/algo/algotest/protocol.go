@@ -12,7 +12,6 @@ package algotest
 import (
 	"testing"
 
-	"wcle/internal/algo"
 	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/serve"
@@ -161,7 +160,7 @@ func ProtocolParityOn(t *testing.T, name string, cfgFor func(graphName string, g
 // families without backend configuration (engine.Config rides separately).
 func protocolGraphs(t *testing.T) []TestGraph {
 	t.Helper()
-	return Graphs(t, func(string, *graph.Graph) algo.Config { return algo.Config{} })
+	return Graphs(t, func(string, *graph.Graph) engine.Config { return engine.Config{} })
 }
 
 // protocolFaultGraphs mirrors FaultGraphs: the well-connected families.

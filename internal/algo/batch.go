@@ -22,12 +22,11 @@ type BatchResult struct {
 	TrialContenders []int32
 }
 
-// RunMany executes opts.Trials independent elections of backend a (built
-// by New) on g through engine.RunMany, folding each trial's Finish outcome
-// into the election tallies. Everything except the wall-clock fields of
-// the result is deterministic in (g, a, opts.Base.Seed, opts.Trials).
-func RunMany(g *graph.Graph, a Algorithm, opts engine.BatchOptions) (*BatchResult, error) {
-	p := a.(adapter).p
+// RunMany executes opts.Trials independent elections of p on g through
+// engine.RunMany, folding each trial's Finish outcome into the election
+// tallies. Everything except the wall-clock fields of the result is
+// deterministic in (p, g, opts.Base.Seed, opts.Trials).
+func RunMany(p ElectionProtocol, g *graph.Graph, opts engine.BatchOptions) (*BatchResult, error) {
 	outcomes := make([]int8, max(opts.Trials, 0))
 	contenders := make([]int32, len(outcomes))
 	batch, err := engine.RunMany(p, g, opts, func(i int, inst engine.Instance, res *engine.Result) error {

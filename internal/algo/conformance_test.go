@@ -5,7 +5,7 @@ import (
 
 	"wcle/internal/algo"
 	"wcle/internal/algo/algotest"
-	"wcle/internal/core"
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 )
 
@@ -21,8 +21,8 @@ func TestConformanceGilbertRS18(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full elections on four graphs; skipped in -short mode")
 	}
-	algotest.Conformance(t, algo.GilbertRS18, func(name string, g *graph.Graph) algo.Config {
-		cfg := core.DefaultConfig()
+	algotest.Conformance(t, algo.GilbertRS18, func(name string, g *graph.Graph) engine.Config {
+		var cfg engine.Config
 		switch name {
 		case "cycle12":
 			// At n=12 the default C1=6 makes the intersection threshold
@@ -34,29 +34,27 @@ func TestConformanceGilbertRS18(t *testing.T) {
 		case "torus4x4":
 			cfg.MaxWalkLen = 1024
 		}
-		return algo.Config{Core: cfg}
+		return cfg
 	}, []int64{0, 1, 2})
 }
 
 func TestConformanceFloodMax(t *testing.T) {
-	algotest.Conformance(t, algo.FloodMax, func(name string, g *graph.Graph) algo.Config {
-		return algo.Config{}
-	}, []int64{0, 1, 2})
+	algotest.Conformance(t, algo.FloodMax, defaultCfg, []int64{0, 1, 2})
 }
 
 func TestConformanceKPPRT(t *testing.T) {
-	algotest.Conformance(t, algo.KPPRT, func(name string, g *graph.Graph) algo.Config {
-		var sub algo.SublinearConfig
+	algotest.Conformance(t, algo.KPPRT, func(name string, g *graph.Graph) engine.Config {
+		var cfg engine.Config
 		switch name {
 		case "cycle12":
 			// tmix of the 12-cycle's lazy walk is Theta(n^2); the wide
 			// window absorbs the congestion of routing every committee
 			// through two directed edges per cut.
-			sub.Hops, sub.Window = 300, 2000
+			cfg.Hops, cfg.Window = 300, 2000
 		case "torus4x4":
-			sub.Hops = 100 // tmix is Theta(side^2)
+			cfg.Hops = 100 // tmix is Theta(side^2)
 		}
-		return algo.Config{Sublinear: sub}
+		return cfg
 	}, []int64{0, 1, 2})
 }
 
@@ -66,15 +64,13 @@ func TestConformanceKPPRT(t *testing.T) {
 // identity (sends = deliveries + fault drops). The well-connected graphs
 // need no regime knobs.
 
-func defaultCfg(name string, g *graph.Graph) algo.Config { return algo.Config{} }
+func defaultCfg(name string, g *graph.Graph) engine.Config { return engine.Config{} }
 
 func TestFaultConformanceGilbertRS18(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full elections under five adversaries; skipped in -short mode")
 	}
-	algotest.FaultConformance(t, algo.GilbertRS18, func(name string, g *graph.Graph) algo.Config {
-		return algo.Config{Core: core.DefaultConfig()}
-	}, []int64{0, 1, 2})
+	algotest.FaultConformance(t, algo.GilbertRS18, defaultCfg, []int64{0, 1, 2})
 }
 
 func TestFaultConformanceFloodMax(t *testing.T) {
@@ -95,9 +91,7 @@ func TestByzantineConformanceGilbertRS18(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full elections under three adversaries; skipped in -short mode")
 	}
-	algotest.ByzantineConformance(t, algo.GilbertRS18, func(name string, g *graph.Graph) algo.Config {
-		return algo.Config{Core: core.DefaultConfig()}
-	}, []int64{0, 1, 2})
+	algotest.ByzantineConformance(t, algo.GilbertRS18, defaultCfg, []int64{0, 1, 2})
 }
 
 func TestByzantineConformanceFloodMax(t *testing.T) {

@@ -1,21 +1,21 @@
-// Package algo makes election protocols first-class pluggable backends: a
-// small Algorithm interface, a named registry, and election tallies
-// (one/zero/multi leaders, contenders) folded over engine.RunMany's batch
-// loop, so every surface of the repo (the wcle facade, cmd/electsim, the
-// experiment harness, the electd service, the cluster runtime) compares
-// protocols through one contract instead of hard-wiring the paper's
-// algorithm.
+// Package algo makes election protocols first-class pluggable backends:
+// the ElectionProtocol contract, a named table of backends, and election
+// tallies (one/zero/multi leaders, contenders) folded over
+// engine.RunMany's batch loop, so every surface of the repo (the wcle
+// facade, cmd/electsim, the experiment harness, the electd service, the
+// cluster runtime) compares protocols through one contract instead of
+// hard-wiring the paper's algorithm.
 //
-// Since the engine extraction, Algorithm is a thin adapter over the
-// generic protocol substrate of internal/engine: every built-in backend
-// implements ElectionProtocol (engine.Protocol plus a Finish fold from the
-// engine's per-node output report into an election Outcome), and is
-// registered in BOTH registries — here under the election contract, and in
-// engine's under the protocol contract, so protocol-generic layers (the
-// cluster runtime, cmd/electsim -protocol, the conformance batteries, the
-// E22 experiment) run elections without knowing they are elections.
-// algo.RunWithReport returns the Outcome together with the engine report
-// (per-node send counts — the currency of the keystone invariant).
+// Every built-in backend is an ElectionProtocol: an engine.Protocol plus
+// a Finish fold from the engine's per-node output report into an election
+// Outcome. Each is built from the engine's flat Config by one
+// constructor, which reads the knobs its backend uses and applies their
+// defaults. The table is registered in engine's registry, so
+// protocol-generic layers (the cluster runtime, cmd/electsim -protocol,
+// the conformance batteries, the E22 experiment) run elections without
+// knowing they are elections; New is its typed lookup. Run returns the
+// Outcome together with the engine report (per-node send counts under
+// engine.Options.CountSends — the currency of the keystone invariant).
 //
 // Four backends ship in the registry:
 //

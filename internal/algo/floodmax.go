@@ -15,7 +15,8 @@ type floodmax struct {
 	horizon int
 }
 
-func newFloodMax(cfg Config) ElectionProtocol {
+// newFloodMax reads Horizon, the decision round (0 = n).
+func newFloodMax(cfg engine.Config) ElectionProtocol {
 	return floodmax{horizon: cfg.Horizon}
 }
 

@@ -2,7 +2,6 @@ package algo
 
 import (
 	"fmt"
-	"reflect"
 
 	"wcle/internal/core"
 	"wcle/internal/engine"
@@ -22,29 +21,39 @@ type gilbert struct {
 	fixedAuto bool
 }
 
-// newGilbertRS18 builds the paper's algorithm from cfg.Core. Only an
-// entirely zero Core section means core.DefaultConfig(); a partially
-// filled one is used as-is, so core's "start from DefaultConfig" C1/C2
-// validation still fails loudly instead of knobs being silently dropped.
-func newGilbertRS18(cfg Config) ElectionProtocol {
-	c := cfg.Core
-	if reflect.DeepEqual(c, core.Config{}) {
-		c = core.DefaultConfig()
-	}
-	return gilbert{name: GilbertRS18, cfg: c}
+// newGilbertRS18 builds the paper's algorithm from cfg's election knobs.
+func newGilbertRS18(cfg engine.Config) ElectionProtocol {
+	return gilbert{name: GilbertRS18, cfg: coreConfig(cfg)}
 }
 
 // newGilbertRS18Fixed builds the known-tmix baseline: the same core
-// machinery in FixedWalkLen mode. A caller-supplied Core.FixedWalkLen is
-// the walk length; otherwise it resolves to 4n at Init (graphs mixing
-// slower than that — cycles — need an explicit value, exactly as
-// gilbertrs18 needs MaxWalkLen raised there).
-func newGilbertRS18Fixed(cfg Config) ElectionProtocol {
-	c := cfg.Core
-	if reflect.DeepEqual(c, core.Config{}) {
-		c = core.DefaultConfig()
+// machinery in FixedWalkLen mode. A positive FixedTu is the walk length;
+// otherwise it resolves to 4n at Init (graphs mixing slower than that —
+// cycles — need an explicit value, exactly as gilbertrs18 needs
+// MaxWalkLen raised there).
+func newGilbertRS18Fixed(cfg engine.Config) ElectionProtocol {
+	return gilbert{name: GilbertRS18Fixed, cfg: coreConfig(cfg), fixedAuto: cfg.FixedTu <= 0}
+}
+
+// coreConfig applies cfg's election knobs (Resend, AssumedN, C1, C2,
+// MaxWalkLen, FixedTu) to core.DefaultConfig(); a knob that is not
+// positive keeps the default.
+func coreConfig(cfg engine.Config) core.Config {
+	c := core.DefaultConfig()
+	c.Resend, c.AssumedN = cfg.Resend, cfg.AssumedN
+	if cfg.C1 > 0 {
+		c.C1 = cfg.C1
 	}
-	return gilbert{name: GilbertRS18Fixed, cfg: c, fixedAuto: c.FixedWalkLen <= 0}
+	if cfg.C2 > 0 {
+		c.C2 = cfg.C2
+	}
+	if cfg.MaxWalkLen > 0 {
+		c.MaxWalkLen = cfg.MaxWalkLen
+	}
+	if cfg.FixedTu > 0 {
+		c.FixedWalkLen = cfg.FixedTu
+	}
+	return c
 }
 
 func (a gilbert) Name() string { return a.name }

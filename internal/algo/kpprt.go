@@ -55,36 +55,6 @@ import (
 // honest accounting for the general-graph mode sets the per-message cap
 // to CongestCap + Hops*ceil(log2 n) bits.
 
-// SublinearConfig parameterizes the kpprt backend. The zero value is the
-// defaults.
-type SublinearConfig struct {
-	// C1 scales the candidate probability min(1, C1 ln n / n). 0 means 2
-	// (zero candidates with probability ~n^-2).
-	C1 float64
-	// C2 scales the committee size ceil(C2 sqrt(n ln n)). 0 means 2.
-	C2 float64
-	// Hops is the referee-sampling lazy-walk length in rounds. 0 means
-	// auto: direct one-hop sampling on complete graphs, 8*ceil(log2 n)
-	// (the expander/mixing regime) otherwise. Poorly connected graphs
-	// need an explicit Hops of order their mixing time.
-	Hops int
-	// Window is the referees' decision round. 0 means auto: Hops plus a
-	// launch-and-congestion slack derived from the committee size.
-	Window int
-}
-
-// constants resolves the sampling constants, applying the defaults.
-func (c SublinearConfig) constants() (c1, c2 float64) {
-	c1, c2 = c.C1, c.C2
-	if c1 <= 0 {
-		c1 = 2
-	}
-	if c2 <= 0 {
-		c2 = 2
-	}
-	return c1, c2
-}
-
 // Message kinds of the kpprt backend.
 const (
 	kindAnnounce = "kpprt-announce"
@@ -169,16 +139,16 @@ type kParams struct {
 	portBits  int
 }
 
-// resolveParams computes the run parameters for g under cfg.
-func resolveParams(g *graph.Graph, cfg SublinearConfig) (*kParams, error) {
+// resolveParams computes the run parameters for g under the backend's
+// knobs.
+func resolveParams(g *graph.Graph, a sublinear) (*kParams, error) {
 	n := g.N()
 	sizing, err := protocol.NewSizing(n)
 	if err != nil {
 		return nil, err
 	}
-	c1, c2 := cfg.constants()
 	ln := math.Log(float64(n))
-	r := int(math.Ceil(c2 * math.Sqrt(float64(n)*ln)))
+	r := int(math.Ceil(a.c2 * math.Sqrt(float64(n)*ln)))
 	if r < 1 {
 		r = 1
 	}
@@ -189,11 +159,11 @@ func resolveParams(g *graph.Graph, cfg SublinearConfig) (*kParams, error) {
 			break
 		}
 	}
-	hops := cfg.Hops
+	hops := a.hops
 	if hops == 0 && !complete {
 		hops = 8 * bits.Len(uint(n-1))
 	}
-	window := cfg.Window
+	window := a.window
 	if window == 0 {
 		if hops == 0 {
 			// Direct sampling: announcements land in round 1; a small
@@ -208,7 +178,7 @@ func resolveParams(g *graph.Graph, cfg SublinearConfig) (*kParams, error) {
 	return &kParams{
 		n:         n,
 		sizing:    sizing,
-		prob:      math.Min(1, c1*ln/float64(n)),
+		prob:      math.Min(1, a.c1*ln/float64(n)),
 		committee: r,
 		hops:      hops,
 		window:    window,
@@ -473,13 +443,33 @@ type SublinearResult struct {
 	Metrics                 sim.Metrics
 }
 
-// sublinear is the registered kpprt backend, an ElectionProtocol.
+// sublinear is the registered kpprt backend, an ElectionProtocol. Its
+// fields are the resolved knobs.
 type sublinear struct {
-	cfg SublinearConfig
+	// c1 scales the candidate probability min(1, c1 ln n / n); c2 scales
+	// the committee size ceil(c2 sqrt(n ln n)).
+	c1, c2 float64
+	// hops is the referee-sampling lazy-walk length in rounds. 0 means
+	// auto: direct one-hop sampling on complete graphs, 8*ceil(log2 n)
+	// (the expander/mixing regime) otherwise. Poorly connected graphs
+	// need an explicit Hops of order their mixing time.
+	hops int
+	// window is the referees' decision round. 0 means auto: hops plus a
+	// launch-and-congestion slack derived from the committee size.
+	window int
 }
 
-func newSublinear(cfg Config) ElectionProtocol {
-	return sublinear{cfg: cfg.Sublinear}
+// newSublinear reads C1, C2, Hops and Window. C1 and C2 default to 2
+// (zero candidates with probability ~n^-2) when not positive.
+func newSublinear(cfg engine.Config) ElectionProtocol {
+	a := sublinear{c1: 2, c2: 2, hops: cfg.Hops, window: cfg.Window}
+	if cfg.C1 > 0 {
+		a.c1 = cfg.C1
+	}
+	if cfg.C2 > 0 {
+		a.c2 = cfg.C2
+	}
+	return a
 }
 
 func (a sublinear) Name() string { return KPPRT }
@@ -506,7 +496,7 @@ func (i *kInstance) Limits() engine.Limits {
 
 // Init implements engine.Protocol.
 func (a sublinear) Init(g *graph.Graph) (engine.Instance, error) {
-	p, err := resolveParams(g, a.cfg)
+	p, err := resolveParams(g, a)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"wcle/internal/core"
+	"wcle/internal/engine"
 )
 
 // Registry names of the built-in backends.
@@ -25,28 +25,25 @@ const (
 // DefaultName is the backend used when a caller names none.
 const DefaultName = GilbertRS18
 
-// Config is the union of the built-in backends' constructor knobs. A
-// backend reads only its own section and ignores the rest, so one Config
-// can parameterize a whole comparison sweep.
-type Config struct {
-	// Core parameterizes the gilbertrs18 backend. The (entirely) zero
-	// value means core.DefaultConfig(); any non-zero field makes the
-	// value be used as-is — callers overriding, say, Resend must start
-	// from core.DefaultConfig, exactly as with core.Run.
-	Core core.Config
-	// Horizon is the floodmax decision round (0 = n).
-	Horizon int
-	// Sublinear parameterizes the kpprt backend (zero value = defaults).
-	Sublinear SublinearConfig
-}
-
-// builders holds the built-in backends, each an ElectionProtocol that New
-// wraps as an Algorithm and init registers in the engine registry.
-var builders = map[string]func(cfg Config) ElectionProtocol{
+// builders holds the built-in backends. Each constructor reads the
+// engine's flat Config directly, so it is the one place that says which
+// knobs reach its backend and what a zero knob means. init registers the
+// table in the engine registry; New is its typed lookup.
+var builders = map[string]func(cfg engine.Config) ElectionProtocol{
 	GilbertRS18:      newGilbertRS18,
 	GilbertRS18Fixed: newGilbertRS18Fixed,
 	FloodMax:         newFloodMax,
 	KPPRT:            newSublinear,
+}
+
+func init() {
+	// Protocol-generic layers (the cluster's engine path, cmd/electsim
+	// -protocol, the protocol batteries) build the same backends by name.
+	for name, build := range builders {
+		engine.Register(name, func(cfg engine.Config) (engine.Protocol, error) {
+			return build(cfg), nil
+		})
+	}
 }
 
 // Known reports whether name is a registered backend.
@@ -73,12 +70,12 @@ func Resolve(name string) string {
 	return name
 }
 
-// New builds a configured instance of the named backend ("" = default).
-func New(name string, cfg Config) (Algorithm, error) {
+// New builds the named backend ("" = default) from cfg.
+func New(name string, cfg engine.Config) (ElectionProtocol, error) {
 	name = Resolve(name)
 	b, ok := builders[name]
 	if !ok {
 		return nil, fmt.Errorf("algo: unknown algorithm %q (known: %v)", name, Names())
 	}
-	return adapter{b(cfg)}, nil
+	return b(cfg), nil
 }

@@ -27,51 +27,33 @@ func TestRegistryNames(t *testing.T) {
 	if algo.Resolve("") != algo.DefaultName {
 		t.Fatal("empty name must resolve to the default backend")
 	}
-	if _, err := algo.New("no-such-algorithm", algo.Config{}); err == nil {
+	if _, err := algo.New("no-such-algorithm", engine.Config{}); err == nil {
 		t.Fatal("unknown backend must error")
 	}
 	for _, name := range want {
-		a, err := algo.New(name, algo.Config{})
+		p, err := algo.New(name, engine.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Name() != name {
-			t.Fatalf("New(%q).Name() = %q", name, a.Name())
+		if p.Name() != name {
+			t.Fatalf("New(%q).Name() = %q", name, p.Name())
 		}
 	}
 }
 
-// TestGilbertPartialConfigErrsLoudly pins the config contract: only an
-// entirely zero Core section defaults; a partial one (here FixedWalkLen
-// without C1/C2) must fail core's validation instead of silently running
-// the default algorithm with the knob dropped.
-func TestGilbertPartialConfigErrsLoudly(t *testing.T) {
-	g, err := graph.Clique(8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := algo.New(algo.GilbertRS18, algo.Config{Core: core.Config{FixedWalkLen: 64}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Run(g, engine.Options{Seed: 1}); err == nil {
-		t.Fatal("partial Core config must error, not silently default")
-	}
-}
-
-// TestGilbertBackendMatchesCore pins the adapter: running the paper's
+// TestGilbertBackendMatchesCore pins the backend: running the paper's
 // algorithm through the registry must reproduce core.Run exactly.
 func TestGilbertBackendMatchesCore(t *testing.T) {
 	g, err := graph.RandomRegular(48, 8, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := algo.New(algo.GilbertRS18, algo.Config{})
+	p, err := algo.New(algo.GilbertRS18, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 3; seed++ {
-		out, err := a.Run(g, engine.Options{Seed: seed})
+		out, _, err := algo.Run(p, g, engine.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,12 +82,12 @@ func TestBatchMatchesCoreRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := algo.New(algo.GilbertRS18, algo.Config{})
+	p, err := algo.New(algo.GilbertRS18, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const seed, trials = 42, 6
-	got, err := algo.RunMany(g, a, engine.BatchOptions{
+	got, err := algo.RunMany(p, g, engine.BatchOptions{
 		Base: engine.Options{Seed: seed, LeanMetrics: true}, Trials: trials, Workers: 3, CollectTrials: true,
 	})
 	if err != nil {
@@ -144,12 +126,12 @@ func TestBatchWorkerCountInvariance(t *testing.T) {
 	const trials = 6
 	for _, name := range []string{algo.GilbertRS18, algo.GilbertRS18Fixed, algo.FloodMax, algo.KPPRT} {
 		t.Run(name, func(t *testing.T) {
-			a, err := algo.New(name, algo.Config{})
+			p, err := algo.New(name, engine.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			run := func(workers int, collect bool) *algo.BatchResult {
-				res, err := algo.RunMany(g, a, engine.BatchOptions{
+				res, err := algo.RunMany(p, g, engine.BatchOptions{
 					Base: engine.Options{Seed: 9, LeanMetrics: true}, Trials: trials, Workers: workers, CollectTrials: collect})
 				if err != nil {
 					t.Fatal(err)
@@ -212,16 +194,16 @@ func TestBatchRejectsSharedFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := algo.New(algo.FloodMax, algo.Config{})
+	p, err := algo.New(algo.FloodMax, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = algo.RunMany(g, a, engine.BatchOptions{
+	_, err = algo.RunMany(p, g, engine.BatchOptions{
 		Base: engine.Options{Seed: 1, Fault: &sim.Drop{P: 0.1}}, Trials: 4})
 	if err == nil || !strings.Contains(err.Error(), "NewFault") {
 		t.Fatalf("shared Base.Fault not rejected: %v", err)
 	}
-	res, err := algo.RunMany(g, a, engine.BatchOptions{
+	res, err := algo.RunMany(p, g, engine.BatchOptions{
 		Base:     engine.Options{Seed: 1},
 		Trials:   4,
 		NewFault: func(int) sim.FaultPlane { return &sim.Drop{P: 0.1} },
@@ -237,7 +219,7 @@ func TestBatchRejectsSharedFault(t *testing.T) {
 // TestKPPRTSublinearOnCliques spot-checks the headline property: the
 // kpprt message count on cliques grows far slower than m.
 func TestKPPRTSublinearOnCliques(t *testing.T) {
-	a, err := algo.New(algo.KPPRT, algo.Config{})
+	p, err := algo.New(algo.KPPRT, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +230,7 @@ func TestKPPRTSublinearOnCliques(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := a.Run(g, engine.Options{Seed: 4})
+		out, _, err := algo.Run(p, g, engine.Options{Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,14 +90,16 @@ type FloodMaxResult struct {
 	// Leaders holds the node indices that declared leadership (exactly one
 	// when the horizon covers the diameter and delivery is perfect).
 	Leaders []int
-	// LeaderID is the elected id (the global maximum).
+	// LeaderID is the elected id: the largest real id, over the whole
+	// graph in process and over the hosted nodes on a shard.
 	LeaderID protocol.ID
 	// AllAgree reports whether every node's maxSeen converged to AgreeID.
 	AllAgree bool
 	// AgreeID is the value the agreement check compared against: the
 	// global maximum id in process, the largest locally observed flood
 	// value on a shard. The cluster merge requires every shard's AgreeID
-	// to match — local agreement on different values is not agreement.
+	// to match and to equal the largest shard LeaderID — local agreement
+	// on different values, or on a forged one, is not agreement.
 	AgreeID protocol.ID
 	// Horizon is the resolved decision round.
 	Horizon int

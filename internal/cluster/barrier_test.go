@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"wcle/internal/algo"
-	"wcle/internal/engine"
 	"wcle/internal/serve"
 )
 
@@ -41,7 +40,7 @@ func TestBarrierModesKeystone(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer local.Close()
-				got, err := local.Elect(spec)
+				got, err := local.Run(spec)
 				if err != nil {
 					t.Fatalf("cluster elect: %v", err)
 				}
@@ -83,19 +82,7 @@ func TestBarrierModesFaultParity(t *testing.T) {
 		Resend:    2,
 		Fault:     fault,
 	}
-	g, err := spec.Graph.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := spec.backend()
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter := &engine.SendCounter{Counts: make([]int64, g.N())}
-	want, err := a.Run(g, engine.Options{Seed: spec.Seed, Fault: fault.Plane(), Observer: counter})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantCounts := electInProcess(t, spec)
 	for _, mode := range []struct {
 		name string
 		opt  LocalOptions
@@ -109,7 +96,7 @@ func TestBarrierModesFaultParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer local.Close()
-			got, err := local.Elect(spec)
+			got, err := local.Run(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,9 +104,9 @@ func TestBarrierModesFaultParity(t *testing.T) {
 			if got.Outcome.Metrics.FaultDrops != want.Metrics.FaultDrops {
 				t.Errorf("fault drops %d, want %d", got.Outcome.Metrics.FaultDrops, want.Metrics.FaultDrops)
 			}
-			for v := range counter.Counts {
-				if got.PerNodeMessages[v] != counter.Counts[v] {
-					t.Fatalf("node %d sent %d on the cluster, %d in process", v, got.PerNodeMessages[v], counter.Counts[v])
+			for v := range wantCounts {
+				if got.PerNodeMessages[v] != wantCounts[v] {
+					t.Fatalf("node %d sent %d on the cluster, %d in process", v, got.PerNodeMessages[v], wantCounts[v])
 				}
 			}
 		})

@@ -50,14 +50,14 @@ func TestChaosByzantineJobs(t *testing.T) {
 		{"floodmax-clean", JobSpec{Graph: g, Algorithm: algo.FloodMax, Seed: 5}, false},
 	}
 	for _, j := range jobs {
-		first, err := local.Elect(j.spec)
+		first, err := local.Run(j.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", j.name, err)
 		}
 		if got := first.Outcome.Metrics.Mutated > 0; got != j.mutates {
 			t.Fatalf("%s: mutated=%d, want mutations=%v", j.name, first.Outcome.Metrics.Mutated, j.mutates)
 		}
-		replay, err := local.Elect(j.spec)
+		replay, err := local.Run(j.spec)
 		if err != nil {
 			t.Fatalf("%s replay: %v", j.name, err)
 		}

@@ -35,8 +35,9 @@ func Dial(addr string) (*Client, error) {
 	return &Client{conn: conn, w: bufio.NewWriter(conn)}, nil
 }
 
-// Elect submits one election and blocks until the merged result.
-func (c *Client) Elect(spec JobSpec) (*Result, error) {
+// Run submits one job (an election, or any engine protocol with
+// spec.Protocol set) and blocks until the merged result.
+func (c *Client) Run(spec JobSpec) (*Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := writeJSONFrame(c.w, frameSubmit, spec); err != nil {
@@ -65,10 +66,6 @@ func (c *Client) Elect(spec JobSpec) (*Result, error) {
 	return out.Result, nil
 }
 
-// Run is Elect under its protocol-generic name: with spec.Protocol set,
-// the job runs any registered engine protocol across the shards.
-func (c *Client) Run(spec JobSpec) (*Result, error) { return c.Elect(spec) }
-
 // Close releases the connection.
 func (c *Client) Close() error {
 	c.mu.Lock()
@@ -82,7 +79,7 @@ func (c *Client) Close() error {
 // spec rides along — every plane it can express is shard-safe, so the
 // outcome stays seed-deterministic on the wire.
 func (c *Client) RunElection(spec serve.GraphSpec, algorithm string, seed int64, resend, assumedN int, fault serve.FaultSpec) (*algo.Outcome, serve.ClusterWire, error) {
-	res, err := c.Elect(JobSpec{
+	res, err := c.Run(JobSpec{
 		Graph:     spec,
 		Algorithm: algorithm,
 		Seed:      seed,
@@ -112,7 +109,7 @@ func Submit(addr string, spec JobSpec) (*Result, error) {
 		return nil, err
 	}
 	defer c.Close()
-	return c.Elect(spec)
+	return c.Run(spec)
 }
 
 // Local is an in-process cluster on loopback TCP: a coordinator plus
@@ -184,11 +181,8 @@ func (l *Local) startWorker(shard int) error {
 	return nil
 }
 
-// Elect runs one election on the local cluster.
-func (l *Local) Elect(spec JobSpec) (*Result, error) { return l.Coord.Elect(spec) }
-
-// Run is Elect under its protocol-generic name (see Coordinator.Run).
-func (l *Local) Run(spec JobSpec) (*Result, error) { return l.Coord.Elect(spec) }
+// Run runs one job on the local cluster (see Coordinator.Run).
+func (l *Local) Run(spec JobSpec) (*Result, error) { return l.Coord.Run(spec) }
 
 // TraceEvents merges every shard's flight-recorder snapshot (coordinator
 // plus all running workers) into one timeline ordered by wall-clock start

@@ -12,24 +12,29 @@ import (
 	"wcle/internal/serve"
 )
 
-// electInProcess runs the reference in-process election for a spec, with
-// the same per-node send accounting the cluster collects.
+// electInProcess runs the reference in-process election for a spec (its
+// backend, knobs, seed, DebugFrom and fault plane), with the same
+// per-node send accounting the cluster collects.
 func electInProcess(t *testing.T, spec JobSpec) (*algo.Outcome, []int64) {
 	t.Helper()
 	g, err := spec.Graph.Build()
 	if err != nil {
 		t.Fatalf("building %+v: %v", spec.Graph, err)
 	}
-	a, err := spec.backend()
+	p, err := algo.New(spec.Algorithm, spec.config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := &engine.SendCounter{Counts: make([]int64, g.N())}
-	out, err := a.Run(g, engine.Options{Seed: spec.Seed, DebugFrom: spec.DebugFrom, Observer: counter})
+	out, res, err := algo.Run(p, g, engine.Options{
+		Seed:       spec.Seed,
+		DebugFrom:  spec.DebugFrom,
+		CountSends: true,
+		Fault:      spec.Fault.Plane(),
+	})
 	if err != nil {
-		t.Fatalf("in-process %s: %v", a.Name(), err)
+		t.Fatalf("in-process %s: %v", p.Name(), err)
 	}
-	return out, counter.Counts
+	return out, res.PerNodeMessages
 }
 
 // TestClusterMatchesInProcessSim is the keystone invariant of the cluster
@@ -56,7 +61,7 @@ func TestClusterMatchesInProcessSim(t *testing.T) {
 			t.Run(fmt.Sprintf("%s-%d/%s", gs.Family, gs.N, backend), func(t *testing.T) {
 				spec := JobSpec{Graph: gs, Algorithm: backend, Seed: 41}
 				want, wantCounts := electInProcess(t, spec)
-				got, err := local.Elect(spec)
+				got, err := local.Run(spec)
 				if err != nil {
 					t.Fatalf("cluster elect: %v", err)
 				}
@@ -78,6 +83,55 @@ func TestClusterMatchesInProcessSim(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestClusterKnobsMatchInProcess pins the one knob mapping: a JobSpec with
+// every election knob set runs each backend exactly as algo.New builds it
+// in process from the same engine.Config — the same leaders, message
+// count and per-node sends. Each value is one its backends accept and
+// differs from their defaults.
+func TestClusterKnobsMatchInProcess(t *testing.T) {
+	knobs := engine.Config{Resend: 1, AssumedN: 32, C1: 4, C2: 3, MaxWalkLen: 2, FixedTu: 8, Horizon: 6, Hops: 2, Window: 60}
+	gs := serve.GraphSpec{Family: "clique", N: 24, Seed: 3}
+	g, err := gs.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := StartLocal(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	for _, name := range algo.Names() {
+		cfg := knobs
+		if name == algo.GilbertRS18 {
+			// FixedTu would make the guess-and-double election the
+			// single-phase baseline, whose one walk length hides MaxWalkLen.
+			cfg.FixedTu = 0
+		}
+		t.Run(name, func(t *testing.T) {
+			p, err := algo.New(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, res, err := algo.Run(p, g, engine.Options{Seed: 3, CountSends: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := local.Run(JobSpec{
+				Graph: gs, Algorithm: name, Seed: 3,
+				Resend: cfg.Resend, AssumedN: cfg.AssumedN, C1: cfg.C1, C2: cfg.C2, MaxWalkLen: cfg.MaxWalkLen,
+				FixedTu: cfg.FixedTu, Horizon: cfg.Horizon, Hops: cfg.Hops, Window: cfg.Window,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertOutcomesMatch(t, want, &got.Outcome)
+			if fmt.Sprint(got.PerNodeMessages) != fmt.Sprint(res.PerNodeMessages) {
+				t.Fatalf("per-node sends on the cluster %v, in process %v", got.PerNodeMessages, res.PerNodeMessages)
+			}
+		})
 	}
 }
 
@@ -137,16 +191,16 @@ func TestClusterSessionServesManyJobs(t *testing.T) {
 	}
 	defer local.Close()
 	spec := JobSpec{Graph: serve.GraphSpec{Family: "clique", N: 12, Seed: 3}, Algorithm: algo.KPPRT, Seed: 9}
-	first, err := local.Elect(spec)
+	first, err := local.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := spec
 	other.Seed = 10
-	if _, err := local.Elect(other); err != nil {
+	if _, err := local.Run(other); err != nil {
 		t.Fatalf("second job: %v", err)
 	}
-	replay, err := local.Elect(spec)
+	replay, err := local.Run(spec)
 	if err != nil {
 		t.Fatalf("replay job: %v", err)
 	}
@@ -168,21 +222,21 @@ func TestClusterRejectsBadJobs(t *testing.T) {
 	defer local.Close()
 	good := JobSpec{Graph: serve.GraphSpec{Family: "clique", N: 8, Seed: 1}, Seed: 4}
 
-	_, err = local.Elect(JobSpec{Graph: good.Graph, Algorithm: "bogus", Seed: 4})
+	_, err = local.Run(JobSpec{Graph: good.Graph, Algorithm: "bogus", Seed: 4})
 	if err == nil || !strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), algo.KPPRT) {
 		t.Fatalf("unknown algorithm error should name it and list the registry; got %v", err)
 	}
-	_, err = local.Elect(JobSpec{Graph: good.Graph, Protocol: "bogus", Seed: 4})
+	_, err = local.Run(JobSpec{Graph: good.Graph, Protocol: "bogus", Seed: 4})
 	if err == nil || !strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), engine.PushPull) {
 		t.Fatalf("unknown protocol error should name it and list the registry; got %v", err)
 	}
-	if _, err := local.Elect(JobSpec{Graph: serve.GraphSpec{Family: "nope"}, Seed: 4}); err == nil {
+	if _, err := local.Run(JobSpec{Graph: serve.GraphSpec{Family: "nope"}, Seed: 4}); err == nil {
 		t.Fatal("bad graph family accepted")
 	}
-	if _, err := local.Elect(JobSpec{Graph: serve.GraphSpec{Family: "clique", N: 1, Seed: 1}, Seed: 4}); err == nil {
+	if _, err := local.Run(JobSpec{Graph: serve.GraphSpec{Family: "clique", N: 1, Seed: 1}, Seed: 4}); err == nil {
 		t.Fatal("1-node graph split across 2 shards accepted")
 	}
-	if _, err := local.Elect(good); err != nil {
+	if _, err := local.Run(good); err != nil {
 		t.Fatalf("session should survive rejected jobs: %v", err)
 	}
 }
@@ -242,7 +296,7 @@ func TestStrayJoinAfterAssembly(t *testing.T) {
 	}
 	defer local.Close()
 	spec := JobSpec{Graph: serve.GraphSpec{Family: "clique", N: 8, Seed: 1}, Seed: 4}
-	if _, err := local.Elect(spec); err != nil {
+	if _, err := local.Run(spec); err != nil {
 		t.Fatal(err)
 	}
 	conn, err := net.Dial("tcp", local.Coord.Addr())
@@ -259,7 +313,7 @@ func TestStrayJoinAfterAssembly(t *testing.T) {
 		t.Fatal("stray join was answered instead of refused")
 	}
 	// ...and the session keeps serving.
-	if _, err := local.Elect(spec); err != nil {
+	if _, err := local.Run(spec); err != nil {
 		t.Fatalf("session broken by a stray join: %v", err)
 	}
 }
@@ -281,7 +335,7 @@ func TestJoinRejectsOtherProtocolVersion(t *testing.T) {
 	if err := writeJSONFrame(conn, frameHello, helloMsg{Proto: 1, Shard: 1, Addr: "127.0.0.1:1"}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = coord.Elect(JobSpec{Graph: serve.GraphSpec{Family: "clique", N: 8, Seed: 1}, Seed: 4})
+	_, err = coord.Run(JobSpec{Graph: serve.GraphSpec{Family: "clique", N: 8, Seed: 1}, Seed: 4})
 	want := fmt.Sprintf("speaks protocol 1, want %d", proto)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("setup with a protocol-1 worker: got %v, want an error containing %q", err, want)
@@ -302,7 +356,7 @@ func TestDataFrameChunking(t *testing.T) {
 	defer local.Close()
 	spec := JobSpec{Graph: serve.GraphSpec{Family: "clique", N: 18, Seed: 5}, Algorithm: algo.FloodMax, Seed: 41}
 	want, wantCounts := electInProcess(t, spec)
-	got, err := local.Elect(spec)
+	got, err := local.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

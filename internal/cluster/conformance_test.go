@@ -7,12 +7,10 @@ package cluster
 // each assertion is a full wire-level election.
 
 import (
-	"reflect"
 	"testing"
 
 	"wcle/internal/algo"
 	"wcle/internal/algo/algotest"
-	"wcle/internal/core"
 	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/serve"
@@ -31,32 +29,34 @@ func explicitSpec(g *graph.Graph) serve.GraphSpec {
 	return serve.GraphSpec{Family: "explicit", N: g.N(), Edges: edges, Seed: 1}
 }
 
-// clusterSpec maps the conformance-relevant backend knobs onto a JobSpec.
-func clusterSpec(name string, cfg algo.Config, g *graph.Graph, opts engine.Options) JobSpec {
-	spec := JobSpec{
-		Graph:     explicitSpec(g),
-		Algorithm: name,
-		Seed:      opts.Seed,
-		DebugFrom: opts.DebugFrom,
-		MaxRounds: opts.MaxRounds,
-		Resend:    cfg.Core.Resend,
-		AssumedN:  cfg.Core.AssumedN,
-		Horizon:   cfg.Horizon,
-		Hops:      cfg.Sublinear.Hops,
-		Window:    cfg.Sublinear.Window,
+// clusterSpec carries a conformance run onto a JobSpec: the election knobs
+// are a field copy of cfg (the inverse of JobSpec.config).
+func clusterSpec(name string, cfg engine.Config, g *graph.Graph, opts engine.Options) JobSpec {
+	return JobSpec{
+		Graph:      explicitSpec(g),
+		Algorithm:  name,
+		Seed:       opts.Seed,
+		DebugFrom:  opts.DebugFrom,
+		MaxRounds:  opts.MaxRounds,
+		Resend:     cfg.Resend,
+		AssumedN:   cfg.AssumedN,
+		C1:         cfg.C1,
+		C2:         cfg.C2,
+		MaxWalkLen: cfg.MaxWalkLen,
+		FixedTu:    cfg.FixedTu,
+		Horizon:    cfg.Horizon,
+		Hops:       cfg.Hops,
+		Window:     cfg.Window,
 	}
-	if !reflect.DeepEqual(cfg.Core, core.Config{}) {
-		spec.C1 = cfg.Core.C1
-		spec.C2 = cfg.Core.C2
-		spec.MaxWalkLen = cfg.Core.MaxWalkLen
-	}
-	return spec
 }
+
+// defaultCfg runs every backend at its defaults.
+func defaultCfg(name string, g *graph.Graph) engine.Config { return engine.Config{} }
 
 // clusterRunner adapts a Local cluster to the algotest Runner contract.
 func clusterRunner(local *Local) algotest.Runner {
-	return func(name string, cfg algo.Config, g *graph.Graph, opts engine.Options) (*algo.Outcome, error) {
-		res, err := local.Elect(clusterSpec(name, cfg, g, opts))
+	return func(name string, cfg engine.Config, g *graph.Graph, opts engine.Options) (*algo.Outcome, error) {
+		res, err := local.Run(clusterSpec(name, cfg, g, opts))
 		if err != nil {
 			return nil, err
 		}
@@ -67,10 +67,10 @@ func clusterRunner(local *Local) algotest.Runner {
 // clusterFaultRunner is the FaultRunner analogue: the adversary ships in
 // the JobSpec and every shard rebuilds it locally, sender-keyed.
 func clusterFaultRunner(local *Local) algotest.FaultRunner {
-	return func(name string, cfg algo.Config, g *graph.Graph, opts engine.Options, fault serve.FaultSpec) (*algo.Outcome, error) {
+	return func(name string, cfg engine.Config, g *graph.Graph, opts engine.Options, fault serve.FaultSpec) (*algo.Outcome, error) {
 		spec := clusterSpec(name, cfg, g, opts)
 		spec.Fault = fault
-		res, err := local.Elect(spec)
+		res, err := local.Run(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -114,8 +114,8 @@ func lowerCompressionThreshold(t *testing.T) {
 
 func TestClusterConformanceGilbertRS18(t *testing.T) {
 	local := startConformanceCluster(t)
-	algotest.ConformanceOn(t, algo.GilbertRS18, func(name string, g *graph.Graph) algo.Config {
-		cfg := core.DefaultConfig()
+	algotest.ConformanceOn(t, algo.GilbertRS18, func(name string, g *graph.Graph) engine.Config {
+		var cfg engine.Config
 		switch name {
 		case "cycle12":
 			cfg.C1 = 3
@@ -123,28 +123,26 @@ func TestClusterConformanceGilbertRS18(t *testing.T) {
 		case "torus4x4":
 			cfg.MaxWalkLen = 1024
 		}
-		return algo.Config{Core: cfg}
+		return cfg
 	}, []int64{0, 1}, clusterRunner(local))
 }
 
 func TestClusterConformanceFloodMax(t *testing.T) {
 	local := startConformanceCluster(t)
-	algotest.ConformanceOn(t, algo.FloodMax, func(name string, g *graph.Graph) algo.Config {
-		return algo.Config{}
-	}, []int64{0, 1}, clusterRunner(local))
+	algotest.ConformanceOn(t, algo.FloodMax, defaultCfg, []int64{0, 1}, clusterRunner(local))
 }
 
 func TestClusterConformanceKPPRT(t *testing.T) {
 	local := startConformanceCluster(t)
-	algotest.ConformanceOn(t, algo.KPPRT, func(name string, g *graph.Graph) algo.Config {
-		var sub algo.SublinearConfig
+	algotest.ConformanceOn(t, algo.KPPRT, func(name string, g *graph.Graph) engine.Config {
+		var cfg engine.Config
 		switch name {
 		case "cycle12":
-			sub.Hops, sub.Window = 300, 2000
+			cfg.Hops, cfg.Window = 300, 2000
 		case "torus4x4":
-			sub.Hops = 100
+			cfg.Hops = 100
 		}
-		return algo.Config{Sublinear: sub}
+		return cfg
 	}, []int64{0, 1}, clusterRunner(local))
 }
 
@@ -155,12 +153,10 @@ func TestClusterConformanceKPPRT(t *testing.T) {
 // same seed. Shard-safe sender-keyed fault randomness is what makes
 // this hold; these tests are the CI enforcement of that design.
 
-func faultCfg(name string, g *graph.Graph) algo.Config { return algo.Config{} }
-
 // explicitFaultRunner is the parity reference: the in-process sim over
 // the same explicit-edge rebuild the cluster performs, so both sides see
 // the identical port numbering.
-func explicitFaultRunner(name string, cfg algo.Config, g *graph.Graph, opts engine.Options, fault serve.FaultSpec) (*algo.Outcome, error) {
+func explicitFaultRunner(name string, cfg engine.Config, g *graph.Graph, opts engine.Options, fault serve.FaultSpec) (*algo.Outcome, error) {
 	ge, err := explicitSpec(g).Build()
 	if err != nil {
 		return nil, err
@@ -170,20 +166,19 @@ func explicitFaultRunner(name string, cfg algo.Config, g *graph.Graph, opts engi
 
 func TestClusterFaultParityGilbertRS18(t *testing.T) {
 	local := startConformanceCluster(t)
-	algotest.FaultParityOn(t, algo.GilbertRS18, func(name string, g *graph.Graph) algo.Config {
-		return algo.Config{Core: core.DefaultConfig()}
-	}, []int64{1}, explicitFaultRunner, clusterFaultRunner(local))
+	algotest.FaultParityOn(t, algo.GilbertRS18, defaultCfg, []int64{1},
+		explicitFaultRunner, clusterFaultRunner(local))
 }
 
 func TestClusterFaultParityFloodMax(t *testing.T) {
 	local := startConformanceCluster(t)
-	algotest.FaultParityOn(t, algo.FloodMax, faultCfg, []int64{1},
+	algotest.FaultParityOn(t, algo.FloodMax, defaultCfg, []int64{1},
 		explicitFaultRunner, clusterFaultRunner(local))
 }
 
 func TestClusterFaultParityKPPRT(t *testing.T) {
 	local := startConformanceCluster(t)
-	algotest.FaultParityOn(t, algo.KPPRT, faultCfg, []int64{1},
+	algotest.FaultParityOn(t, algo.KPPRT, defaultCfg, []int64{1},
 		explicitFaultRunner, clusterFaultRunner(local))
 }
 
@@ -195,15 +190,13 @@ func TestClusterFaultParityKPPRT(t *testing.T) {
 func TestClusterConformanceCompressed(t *testing.T) {
 	lowerCompressionThreshold(t)
 	local := startConformanceClusterWith(t, LocalOptions{Compress: true})
-	algotest.ConformanceOn(t, algo.FloodMax, func(name string, g *graph.Graph) algo.Config {
-		return algo.Config{}
-	}, []int64{0, 1}, clusterRunner(local))
+	algotest.ConformanceOn(t, algo.FloodMax, defaultCfg, []int64{0, 1}, clusterRunner(local))
 }
 
 func TestClusterFaultParityCompressed(t *testing.T) {
 	lowerCompressionThreshold(t)
 	local := startConformanceClusterWith(t, LocalOptions{Compress: true})
-	algotest.FaultParityOn(t, algo.FloodMax, faultCfg, []int64{1},
+	algotest.FaultParityOn(t, algo.FloodMax, defaultCfg, []int64{1},
 		explicitFaultRunner, clusterFaultRunner(local))
 }
 
@@ -216,13 +209,13 @@ func TestClusterFaultParityCompressed(t *testing.T) {
 
 func TestClusterByzantineParityFloodMax(t *testing.T) {
 	local := startConformanceCluster(t)
-	algotest.ByzantineParityOn(t, algo.FloodMax, faultCfg, []int64{1},
+	algotest.ByzantineParityOn(t, algo.FloodMax, defaultCfg, []int64{1},
 		explicitFaultRunner, clusterFaultRunner(local))
 }
 
 func TestClusterByzantineParityKPPRT(t *testing.T) {
 	local := startConformanceCluster(t)
-	algotest.ByzantineParityOn(t, algo.KPPRT, faultCfg, []int64{1},
+	algotest.ByzantineParityOn(t, algo.KPPRT, defaultCfg, []int64{1},
 		explicitFaultRunner, clusterFaultRunner(local))
 }
 
@@ -231,5 +224,5 @@ func TestClusterByzantineParityKPPRT(t *testing.T) {
 // anonymity) with the cluster as the delivery plane.
 func TestClusterByzantineConformance(t *testing.T) {
 	local := startConformanceCluster(t)
-	algotest.ByzantineConformanceOn(t, algo.FloodMax, faultCfg, []int64{1}, clusterFaultRunner(local))
+	algotest.ByzantineConformanceOn(t, algo.FloodMax, defaultCfg, []int64{1}, clusterFaultRunner(local))
 }

@@ -20,7 +20,7 @@ type CoordinatorConfig struct {
 	Listen string
 	// Shards is the total shard count, coordinator included (>= 1).
 	Shards int
-	// ReadyTimeout bounds how long Elect waits for the cluster to
+	// ReadyTimeout bounds how long Run waits for the cluster to
 	// assemble (0 = 60s).
 	ReadyTimeout time.Duration
 	// Compress enables flate compression of data frames above the size
@@ -63,7 +63,7 @@ type Coordinator struct {
 	broken error // a failed job breaks the session — unless a supervisor recovers it
 
 	// supervising marks the session as owned by a Supervision: ad-hoc
-	// Elect calls are refused (their frames would interleave with lease
+	// Run calls are refused (their frames would interleave with lease
 	// traffic) and crashed shards may rejoin through rejoinCh.
 	supervising bool
 	rejoinCh    chan rejoinReq
@@ -92,7 +92,7 @@ type rejoinReq struct {
 }
 
 // NewCoordinator binds the bootstrap listener and starts admitting
-// workers. It returns immediately; Elect blocks until the cluster is
+// workers. It returns immediately; Run blocks until the cluster is
 // assembled.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Shards < 1 {
@@ -223,12 +223,12 @@ func (c *Coordinator) admitWorker(conn net.Conn, f frame) {
 	_ = conn.Close()
 }
 
-// closeReady unblocks Elect exactly once, however many paths race to it.
+// closeReady unblocks Run exactly once, however many paths race to it.
 func (c *Coordinator) closeReady() {
 	c.readyOnce.Do(func() { close(c.ready) })
 }
 
-// failSetupLocked records the first setup failure and unblocks Elect.
+// failSetupLocked records the first setup failure and unblocks Run.
 func (c *Coordinator) failSetupLocked(err error) {
 	if c.setupErr == nil {
 		c.setupErr = err
@@ -285,7 +285,7 @@ func (c *Coordinator) serveClient(conn net.Conn, first frame) {
 			_ = writeJSONFrame(conn, frameOutcome, outcomeMsg{Err: err.Error()})
 			return
 		}
-		res, err := c.Elect(spec)
+		res, err := c.Run(spec)
 		out := outcomeMsg{Result: res}
 		if err != nil {
 			out = outcomeMsg{Err: err.Error()}
@@ -300,11 +300,13 @@ func (c *Coordinator) serveClient(conn net.Conn, first frame) {
 	}
 }
 
-// Elect runs one election across the cluster and returns the merged
-// result. Jobs are serialized: the barrier owns every link while a job
-// runs. The same seed elects the same leader as the in-process sim —
-// fault planes included, since every FaultSpec plane is shard-safe.
-func (c *Coordinator) Elect(spec JobSpec) (*Result, error) {
+// Run runs one job across the cluster and returns the merged result: an
+// election, or with spec.Protocol set any registered engine protocol,
+// whose merged Result then carries the reassembled Engine report. Jobs
+// are serialized: the barrier owns every link while a job runs. The same
+// seed elects the same leader as the in-process sim — fault planes
+// included, since every FaultSpec plane is shard-safe.
+func (c *Coordinator) Run(spec JobSpec) (*Result, error) {
 	c.mu.Lock()
 	supervising := c.supervising
 	c.mu.Unlock()
@@ -313,11 +315,6 @@ func (c *Coordinator) Elect(spec JobSpec) (*Result, error) {
 	}
 	return c.elect(spec)
 }
-
-// Run is Elect under its protocol-generic name: with spec.Protocol set,
-// the cluster runs any registered engine protocol and the merged Result
-// carries the reassembled Engine report.
-func (c *Coordinator) Run(spec JobSpec) (*Result, error) { return c.Elect(spec) }
 
 // elect is the supervisor-accessible election path (no supervising gate).
 func (c *Coordinator) elect(spec JobSpec) (*Result, error) {

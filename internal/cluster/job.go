@@ -10,7 +10,6 @@ import (
 
 	"wcle/internal/algo"
 	"wcle/internal/baseline"
-	"wcle/internal/core"
 	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/obs"
@@ -38,9 +37,10 @@ type JobSpec struct {
 	// Seed drives all randomness of the run deterministically: the same
 	// seed elects the same leader as the in-process sim.
 	Seed int64 `json:"seed"`
-	// Resend, AssumedN, C1, C2 and MaxWalkLen parameterize the
-	// gilbertrs18 backend (core.Config fields of the same names; zero
-	// keeps the default).
+	// The election knobs are engine.Config's fields of the same names
+	// (see JobSpec.config); zero keeps a backend's default. Resend,
+	// AssumedN, C1, C2 and MaxWalkLen parameterize the gilbertrs18
+	// backends, C1 and C2 also kpprt.
 	Resend     int     `json:"resend,omitempty"`
 	AssumedN   int     `json:"assumed_n,omitempty"`
 	C1         float64 `json:"c1,omitempty"`
@@ -104,27 +104,21 @@ func liveShards(owner []int, shards int) []bool {
 	return live
 }
 
-// backend builds the configured algorithm instance for the spec.
-func (s JobSpec) backend() (algo.Algorithm, error) {
-	cfg := core.DefaultConfig()
-	cfg.Resend = s.Resend
-	cfg.AssumedN = s.AssumedN
-	if s.C1 > 0 {
-		cfg.C1 = s.C1
+// config is the spec's election knobs as the engine's flat Config. The
+// fields carry Config's names and JSON tags; each backend's constructor
+// decides which of them it reads.
+func (s JobSpec) config() engine.Config {
+	return engine.Config{
+		Resend:     s.Resend,
+		AssumedN:   s.AssumedN,
+		C1:         s.C1,
+		C2:         s.C2,
+		MaxWalkLen: s.MaxWalkLen,
+		FixedTu:    s.FixedTu,
+		Horizon:    s.Horizon,
+		Hops:       s.Hops,
+		Window:     s.Window,
 	}
-	if s.C2 > 0 {
-		cfg.C2 = s.C2
-	}
-	if s.MaxWalkLen > 0 {
-		cfg.MaxWalkLen = s.MaxWalkLen
-	}
-	if s.FixedTu > 0 {
-		cfg.FixedWalkLen = s.FixedTu
-	}
-	acfg := algo.Config{Core: cfg, Horizon: s.Horizon}
-	acfg.Sublinear.Hops = s.Hops
-	acfg.Sublinear.Window = s.Window
-	return algo.New(s.Algorithm, acfg)
 }
 
 // runner resolves the spec's execution path before any wire activity
@@ -155,12 +149,12 @@ func (s JobSpec) runner() (func(g *graph.Graph, pl *plane, tr *obs.Tracer) (*alg
 			return nil, res, err
 		}, nil
 	}
-	a, err := s.backend()
+	p, err := algo.New(s.Algorithm, s.config())
 	if err != nil {
 		return nil, err
 	}
 	return func(g *graph.Graph, pl *plane, tr *obs.Tracer) (*algo.Outcome, *engine.Result, error) {
-		return algo.RunWithReport(a, g, opts(pl, tr))
+		return algo.Run(p, g, opts(pl, tr))
 	}, nil
 }
 
@@ -204,10 +198,13 @@ type partialResult struct {
 	Protocol string    `json:"protocol,omitempty"`
 	Slots    []string  `json:"slots,omitempty"`
 	Outputs  [][]int64 `json:"outputs,omitempty"`
-	// AgreeID is floodmax's shard-local agreement value (0 for other
-	// backends): the merge requires every shard to have agreed on the
-	// same value, or the election is not explicit.
+	// AgreeID is floodmax's shard-local agreement value and MaxID its
+	// largest hosted real id (both 0 for other backends): the merge
+	// requires every shard to have agreed on the same value, and that
+	// value to be the largest real id of the whole graph, or the election
+	// is not explicit.
 	AgreeID     uint64      `json:"agree_id,omitempty"`
+	MaxID       uint64      `json:"max_id,omitempty"`
 	Leaders     []int       `json:"leaders,omitempty"`
 	LeaderIDs   []uint64    `json:"leader_ids,omitempty"`
 	Contenders  int         `json:"contenders"`
@@ -316,7 +313,7 @@ func runShard(links []*link, shard, shards int, jobID int64, spec JobSpec, compr
 	pr.Algorithm = out.Algorithm
 	pr.Explicit = out.Explicit
 	if fm, ok := out.Detail.(*baseline.FloodMaxResult); ok {
-		pr.AgreeID = uint64(fm.AgreeID)
+		pr.AgreeID, pr.MaxID = uint64(fm.AgreeID), uint64(fm.LeaderID)
 	}
 	pr.Leaders = out.Leaders
 	for _, id := range out.LeaderIDs {
@@ -344,7 +341,7 @@ func merge(n, shards int, parts []partialResult) (*Result, error) {
 	out.LeaderRound = -1
 	out.Explicit = true
 	out.Metrics.ByKind = make(map[string]int64)
-	var agreeID uint64
+	var agreeID, maxID uint64
 	for _, p := range parts {
 		res.Wire.add(p.Wire)
 		for i, c := range p.NodeMessages {
@@ -389,6 +386,7 @@ func merge(n, shards int, parts []partialResult) (*Result, error) {
 			}
 			agreeID = p.AgreeID
 		}
+		maxID = max(maxID, p.MaxID)
 		if p.LeaderRound >= 0 && (out.LeaderRound < 0 || p.LeaderRound < out.LeaderRound) {
 			out.LeaderRound = p.LeaderRound
 		}
@@ -421,6 +419,9 @@ func merge(n, shards int, parts []partialResult) (*Result, error) {
 		// leaders mean a shard lied about its range.
 		return nil, fmt.Errorf("cluster: merged leader list %v is not sorted", out.Leaders)
 	}
+	// The in-process rule: every node converged to the largest real id. A
+	// forged flood value above it can win a shard's agreement, not this.
+	out.Explicit = out.Explicit && agreeID == maxID
 	out.Success = len(out.Leaders) == 1
 	if res.Engine != nil {
 		res.Engine.PerNodeMessages = res.PerNodeMessages

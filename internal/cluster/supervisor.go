@@ -146,7 +146,7 @@ type Supervision struct {
 
 // Supervise starts supervising the session: elect, lease, monitor,
 // re-elect on membership changes, until Stop or a fatal error. Ad-hoc
-// Elect calls are refused while the supervision runs.
+// Run calls are refused while the supervision runs.
 func (c *Coordinator) Supervise(cfg SuperviseConfig) (*Supervision, error) {
 	if cfg.HeartEvery <= 0 {
 		cfg.HeartEvery = defaultHeartEvery

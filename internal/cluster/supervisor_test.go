@@ -118,14 +118,14 @@ func TestSupervisionReelectsAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := spec.backend()
+	p, err := algo.New(spec.Algorithm, spec.config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if second.Attempts != 1 || second.Seed != sim.DeriveSeed(spec.Seed, second.Epoch) {
 		t.Fatalf("deterministic backend needed %d attempts, reign seed %d", second.Attempts, second.Seed)
 	}
-	ref, err := a.Run(gi, engine.Options{Seed: second.Seed})
+	ref, _, err := algo.Run(p, gi, engine.Options{Seed: second.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSupervisionReelectsAfterCrash(t *testing.T) {
 		t.Fatalf("supervision ended with error: %v", err)
 	}
 	// The quiesced session stays usable for ad-hoc elections.
-	res, err := local.Elect(spec)
+	res, err := local.Run(spec)
 	if err != nil {
 		t.Fatalf("post-supervision election: %v", err)
 	}
@@ -194,25 +194,14 @@ func TestSupervisionRejoinThenByzantineJob(t *testing.T) {
 	}
 
 	spec := JobSpec{Graph: g, Algorithm: algo.FloodMax, Seed: 1, Fault: serve.FaultSpec{Byz: 0.25}}
-	got, err := local.Elect(spec)
+	got, err := local.Run(spec)
 	if err != nil {
 		t.Fatalf("byzantine job after a rejoin: %v", err)
 	}
-	g0, err := spec.Graph.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := spec.backend()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := a.Run(g0, engine.Options{Seed: spec.Seed, Fault: spec.Fault.Plane()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := electInProcess(t, spec)
 	// The fields of the Byzantine parity contract (algotest.ByzantineParityOn).
 	parity := func(o *algo.Outcome) string {
-		return fmt.Sprint(o.Leaders, o.LeaderIDs, o.Success, o.Contenders, o.LeaderRound, o.Rounds,
+		return fmt.Sprint(o.Leaders, o.LeaderIDs, o.Success, o.Explicit, o.Contenders, o.LeaderRound, o.Rounds,
 			o.Metrics.Messages, o.Metrics.Bits, o.Metrics.Deliveries, o.Metrics.Mutated)
 	}
 	if parity(&got.Outcome) != parity(want) {
@@ -224,7 +213,7 @@ func TestSupervisionRejoinThenByzantineJob(t *testing.T) {
 }
 
 // TestSupervisionGatesAdHocElections: while a supervision owns the
-// session, Elect refuses; after Stop it serves again.
+// session, Run refuses; after Stop it serves again.
 func TestSupervisionGatesAdHocElections(t *testing.T) {
 	local, err := StartLocal(2)
 	if err != nil {
@@ -234,7 +223,7 @@ func TestSupervisionGatesAdHocElections(t *testing.T) {
 	spec := JobSpec{Graph: serve.GraphSpec{Family: "clique", N: 8, Seed: 1}, Algorithm: algo.KPPRT, Seed: 4}
 	sup, events := superviseEvents(t, local.Coord, spec)
 	awaitEvent(t, events, EventLease)
-	if _, err := local.Elect(spec); err == nil || !strings.Contains(err.Error(), "supervision") {
+	if _, err := local.Run(spec); err == nil || !strings.Contains(err.Error(), "supervision") {
 		t.Fatalf("ad-hoc election under supervision should be refused, got %v", err)
 	}
 	if _, err := local.Coord.Supervise(SuperviseConfig{Spec: spec}); err == nil {
@@ -244,7 +233,7 @@ func TestSupervisionGatesAdHocElections(t *testing.T) {
 	if _, err := sup.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := local.Elect(spec); err != nil {
+	if _, err := local.Run(spec); err != nil {
 		t.Fatalf("session unusable after supervision stopped: %v", err)
 	}
 }

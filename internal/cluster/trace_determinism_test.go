@@ -43,12 +43,12 @@ func TestClusterTracerPreservesDeterminism(t *testing.T) {
 				Seed:  41,
 				Fault: tc.fault,
 			}
-			plain, err := plainCluster.Elect(spec)
+			plain, err := plainCluster.Run(spec)
 			if err != nil {
 				t.Fatalf("flight-ring-only cluster elect: %v", err)
 			}
 			before := received()
-			traced, err := tracedCluster.Elect(spec)
+			traced, err := tracedCluster.Run(spec)
 			if err != nil {
 				t.Fatalf("traced cluster elect: %v", err)
 			}

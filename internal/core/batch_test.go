@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"wcle/internal/algo"
-	"wcle/internal/core"
 	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/sim"
@@ -20,11 +19,11 @@ func TestRunManyRejectsSharedFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := algo.New(algo.GilbertRS18, algo.Config{Core: core.DefaultConfig()})
+	p, err := algo.New(algo.GilbertRS18, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = algo.RunMany(g, a, engine.BatchOptions{
+	_, err = algo.RunMany(p, g, engine.BatchOptions{
 		Base:   engine.Options{Seed: 1, Fault: &sim.Drop{P: 0.1}},
 		Trials: 2,
 	})
@@ -32,7 +31,7 @@ func TestRunManyRejectsSharedFault(t *testing.T) {
 		t.Fatalf("shared Base.Fault not rejected: %v", err)
 	}
 	// The same plane through NewFault (fresh instance per trial) is fine.
-	res, err := algo.RunMany(g, a, engine.BatchOptions{
+	res, err := algo.RunMany(p, g, engine.BatchOptions{
 		Base:     engine.Options{Seed: 1, LeanMetrics: true},
 		Trials:   2,
 		NewFault: func(int) sim.FaultPlane { return &sim.Drop{P: 0.1} },

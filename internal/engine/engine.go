@@ -171,8 +171,8 @@ func Run(p Protocol, g *graph.Graph, opts Options) (*Result, error) {
 
 // RunInstance executes an already-initialized instance of p on g and
 // collects every hosted node's output vector. Callers that need the
-// instance's native state afterwards (the election adapters of
-// internal/algo) initialize it themselves and keep the reference.
+// instance's native state afterwards (algo.Run, which folds it into an
+// election outcome) initialize it themselves and keep the reference.
 func RunInstance(p Protocol, g *graph.Graph, inst Instance, opts Options) (*Result, error) {
 	if inst == nil {
 		return nil, fmt.Errorf("engine: %s: nil instance", p.Name())

@@ -20,7 +20,6 @@ import (
 	"wcle/internal/algo"
 	"wcle/internal/cluster"
 	"wcle/internal/engine"
-	"wcle/internal/graph"
 	"wcle/internal/serve"
 	"wcle/internal/sim"
 )
@@ -74,16 +73,19 @@ func e19Trial(cfg SuiteConfig, pt Point, setup interface{}, seed int64) (Metrics
 	for i, b := range e17Backends {
 		runSeed := sim.DeriveSeed(seed, uint64(0xC1+i))
 
-		counts := &sendCounter{perNode: make([]int64, g.N())}
+		p, err := algo.New(b.name, engine.Config{})
+		if err != nil {
+			return nil, err
+		}
 		localStart := time.Now()
-		ref, err := runE19InProcess(g, b.name, runSeed, counts)
+		ref, refRes, err := algo.Run(p, g, engine.Options{Seed: runSeed, CountSends: true})
 		if err != nil {
 			return nil, fmt.Errorf("%s in process: %w", b.name, err)
 		}
 		localMs := time.Since(localStart).Seconds() * 1e3
 
 		wireStart := time.Now()
-		res, err := local.Elect(cluster.JobSpec{Graph: gs, Algorithm: b.name, Seed: runSeed})
+		res, err := local.Run(cluster.JobSpec{Graph: gs, Algorithm: b.name, Seed: runSeed})
 		if err != nil {
 			return nil, fmt.Errorf("%s on the cluster: %w", b.name, err)
 		}
@@ -96,10 +98,10 @@ func e19Trial(cfg SuiteConfig, pt Point, setup interface{}, seed int64) (Metrics
 			return nil, fmt.Errorf("%s diverged between planes: cluster %v/%d msgs, sim %v/%d msgs",
 				b.name, res.Outcome.Leaders, res.Outcome.Metrics.Messages, ref.Leaders, ref.Metrics.Messages)
 		}
-		for v := range counts.perNode {
-			if v >= len(res.PerNodeMessages) || res.PerNodeMessages[v] != counts.perNode[v] {
+		for v, c := range refRes.PerNodeMessages {
+			if v >= len(res.PerNodeMessages) || res.PerNodeMessages[v] != c {
 				return nil, fmt.Errorf("%s diverged between planes at node %d: cluster counted %v, sim %d sends",
-					b.name, v, res.PerNodeMessages, counts.perNode[v])
+					b.name, v, res.PerNodeMessages, c)
 			}
 		}
 
@@ -113,24 +115,6 @@ func e19Trial(cfg SuiteConfig, pt Point, setup interface{}, seed int64) (Metrics
 		m[b.prefix+"_success"] = b2f(res.Outcome.Success)
 	}
 	return m, nil
-}
-
-// sendCounter tallies per-node sends of the in-process reference leg.
-type sendCounter struct {
-	perNode []int64
-}
-
-func (c *sendCounter) OnSend(round, from, fromPort, to, toPort int, m sim.Message) {
-	c.perNode[from]++
-}
-
-// runE19InProcess is the reference leg of a trial.
-func runE19InProcess(g *graph.Graph, backend string, seed int64, counts *sendCounter) (*algo.Outcome, error) {
-	a, err := algo.New(backend, algo.Config{})
-	if err != nil {
-		return nil, err
-	}
-	return a.Run(g, engine.Options{Seed: seed, Observer: counts})
 }
 
 func renderE19(cfg SuiteConfig, data []PointData) (*Table, error) {

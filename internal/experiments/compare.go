@@ -66,11 +66,11 @@ func e17Spec() Spec {
 			g := setup.(*graph.Graph)
 			m := Metrics{"m": float64(g.M())}
 			for i, b := range e17Backends {
-				a, err := algo.New(b.name, algo.Config{})
+				p, err := algo.New(b.name, engine.Config{})
 				if err != nil {
 					return nil, err
 				}
-				out, err := a.Run(g, engine.Options{
+				out, _, err := algo.Run(p, g, engine.Options{
 					Seed:        sim.DeriveSeed(seed, uint64(0xA1+i)),
 					LeanMetrics: true,
 				})

@@ -93,13 +93,11 @@ func e15Spec() Spec {
 			if !found {
 				return nil, fmt.Errorf("experiments: unknown fault scenario %q", pt.Label)
 			}
-			c := core.DefaultConfig()
-			c.Resend = resend
-			a, err := algo.New(algo.GilbertRS18, algo.Config{Core: c})
+			p, err := algo.New(algo.GilbertRS18, engine.Config{Resend: resend})
 			if err != nil {
 				return nil, err
 			}
-			batch, err := algo.RunMany(g, a, engine.BatchOptions{
+			batch, err := algo.RunMany(p, g, engine.BatchOptions{
 				Base:     engine.Options{Seed: sim.DeriveSeed(seed, 0xB), LeanMetrics: true},
 				Trials:   e15Elections(cfg),
 				NewFault: func(int) sim.FaultPlane { return fault() },
@@ -181,15 +179,14 @@ func e16Spec() Spec {
 			if err != nil {
 				return nil, err
 			}
-			c := core.DefaultConfig()
 			master := sim.DeriveSeed(seed, 0xB)
 
 			// Sharded: MultiRunner, sequential engine per election.
-			a, err := algo.New(algo.GilbertRS18, algo.Config{Core: c})
+			p, err := algo.New(algo.GilbertRS18, engine.Config{})
 			if err != nil {
 				return nil, err
 			}
-			batch, err := algo.RunMany(g, a, engine.BatchOptions{
+			batch, err := algo.RunMany(p, g, engine.BatchOptions{
 				Base:   engine.Options{Seed: master, LeanMetrics: true},
 				Trials: e16Elections,
 			})
@@ -210,7 +207,7 @@ func e16Spec() Spec {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					res, err := core.Run(g, c, engine.Options{
+					res, err := core.Run(g, core.DefaultConfig(), engine.Options{
 						Seed:        sim.DeriveSeed(master, uint64(i)),
 						Concurrent:  true,
 						LeanMetrics: true,

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"wcle/internal/algo"
-	"wcle/internal/core"
 	"wcle/internal/engine"
 	"wcle/internal/obs"
 	"wcle/internal/sim"
@@ -364,10 +363,7 @@ func (s *Scheduler) runPoints(req SubmitRequest) (*JobResult, error) {
 			out.Points = append(out.Points, pr)
 			continue
 		}
-		cfg := core.DefaultConfig()
-		cfg.Resend = p.Resend
-		cfg.AssumedN = p.AssumedN
-		backend, err := algo.New(algName, algo.Config{Core: cfg})
+		backend, err := algo.New(algName, engine.Config{Resend: p.Resend, AssumedN: p.AssumedN})
 		if err != nil {
 			// Validated at submission; the registry never unregisters.
 			return nil, fmt.Errorf("serve: point %d: %w", i, err)
@@ -382,7 +378,7 @@ func (s *Scheduler) runPoints(req SubmitRequest) (*JobResult, error) {
 			fault := p.Fault
 			opts.NewFault = func(int) sim.FaultPlane { return fault.Plane() }
 		}
-		batch, err := algo.RunMany(reg.Graph, backend, opts)
+		batch, err := algo.RunMany(backend, reg.Graph, opts)
 		if err != nil {
 			return nil, fmt.Errorf("serve: point %d (%s, %s): %w", i, p.Graph, algName, err)
 		}

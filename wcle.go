@@ -85,23 +85,14 @@ type (
 	// encoding, seed-deterministic like every other plane.
 	Byzantine = sim.Byzantine
 
-	// Algorithm is a pluggable election backend (see internal/algo): the
-	// registry ships gilbertrs18 (the paper), floodmax (the Omega(m)
-	// baseline), and kpprt (the sublinear candidate-sampling election of
-	// Kutten et al.).
-	Algorithm = algo.Algorithm
-	// AlgorithmConfig is the union of the backends' constructor knobs.
-	AlgorithmConfig = algo.Config
 	// AlgorithmOptions are the per-run knobs of the election entry points
 	// (the same type as Options).
 	AlgorithmOptions = engine.Options
-	// AlgorithmOutcome is the backend-independent election summary.
+	// AlgorithmOutcome is the backend-independent election summary of a
+	// run of an election backend (see internal/algo): the registry ships
+	// gilbertrs18 (the paper), floodmax (the Omega(m) baseline), and kpprt
+	// (the sublinear candidate-sampling election of Kutten et al.).
 	AlgorithmOutcome = algo.Outcome
-	// AlgorithmBatchOptions parameterizes ElectManyWith (the same type as
-	// ProtocolBatchOptions).
-	AlgorithmBatchOptions = engine.BatchOptions
-	// AlgorithmBatchResult aggregates an ElectManyWith batch.
-	AlgorithmBatchResult = algo.BatchResult
 
 	// GraphSpec names a graph family + parameters (or an explicit edge
 	// list) for the service layer's registry.
@@ -214,24 +205,19 @@ func Run(protocol string, g *Graph, cfg ProtocolConfig, opts AlgorithmOptions) (
 	if err != nil {
 		return nil, err
 	}
-	inst, err := p.Init(g)
-	if err != nil {
-		return nil, err
-	}
 	opts.CountSends = true
-	res, err := engine.RunInstance(p, g, inst, opts)
-	if err != nil {
-		return nil, err
-	}
-	rep := &RunReport{Result: res}
 	if ep, ok := p.(algo.ElectionProtocol); ok {
-		out, err := ep.Finish(inst, res, opts)
+		out, res, err := algo.Run(ep, g, opts)
 		if err != nil {
 			return nil, err
 		}
-		rep.Election = out
+		return &RunReport{Result: res, Election: out}, nil
 	}
-	return rep, nil
+	res, err := engine.Run(p, g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &RunReport{Result: res}, nil
 }
 
 // RunMany runs many independent trials of the named protocol on g across
@@ -247,48 +233,15 @@ func RunMany(protocol string, g *Graph, cfg ProtocolConfig, opts ProtocolBatchOp
 	return engine.RunMany(p, g, opts, nil)
 }
 
-// Elect runs the paper's implicit leader-election algorithm on g — the
-// default backend of the algo registry.
-//
-// Deprecated: use Run(DefaultAlgorithm(), ...) (or ElectWith for the
-// backend-native result without the engine report). Elect remains as a
-// thin wrapper and keeps its exact behavior.
+// Elect runs the paper's implicit leader-election algorithm on g under the
+// full core configuration and returns its native result. It is the
+// facade's one route to the knobs the flat ProtocolConfig does not carry
+// (message mode, the E14 ablations, TMult, LogBase, test hooks);
+// Run(DefaultAlgorithm(), ...) runs the same election from ProtocolConfig
+// and adds the engine report. The zero Config is not valid: start from
+// DefaultConfig.
 func Elect(g *Graph, cfg Config, opts Options) (*Result, error) {
-	out, err := ElectWith(algo.GilbertRS18, g, AlgorithmConfig{Core: cfg}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return out.Detail.(*core.Result), nil
-}
-
-// ElectWith runs one election of the named backend ("" = the default) on
-// g with the backend-native configuration union.
-//
-// Deprecated: use Run, which executes the same backends through the
-// protocol-generic engine and additionally reports per-node outputs and
-// send counts. ElectWith remains for callers needing AlgorithmConfig
-// knobs the flat ProtocolConfig cannot express (custom core.Config test
-// hooks).
-func ElectWith(algorithm string, g *Graph, cfg AlgorithmConfig, opts AlgorithmOptions) (*AlgorithmOutcome, error) {
-	a, err := algo.New(algorithm, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return a.Run(g, opts)
-}
-
-// ElectManyWith runs many independent elections of the named backend on g
-// across a sharded worker pool, with the same seed-derivation contract as
-// RunMany, and tallies their leader counts.
-//
-// Deprecated: use RunMany for the protocol-generic batch; ElectManyWith
-// remains for election-shaped aggregation (leader/success tallies).
-func ElectManyWith(algorithm string, g *Graph, cfg AlgorithmConfig, opts AlgorithmBatchOptions) (*AlgorithmBatchResult, error) {
-	a, err := algo.New(algorithm, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return algo.RunMany(g, a, opts)
+	return core.Run(g, cfg, opts)
 }
 
 // ElectCluster runs one election on a running wire-level cluster: it
@@ -312,8 +265,8 @@ func StartLocalClusterWith(shards int, opt LocalClusterOptions) (*LocalCluster, 
 }
 
 // FloodMax runs the Omega(m)-message flooding baseline (explicit election).
-// horizon 0 means n rounds. ElectWith("floodmax", ...) is the registry
-// route to the same algorithm with the full option set.
+// horizon 0 means n rounds. Run("floodmax", ...) is the registry route to
+// the same algorithm with the full option set.
 func FloodMax(g *Graph, seed int64, horizon int) (*FloodMaxResult, error) {
 	return baseline.FloodMax(g, seed, horizon)
 }

@@ -1,6 +1,7 @@
 package wcle_test
 
 import (
+	"fmt"
 	"testing"
 
 	"wcle"
@@ -160,13 +161,13 @@ func TestPublicRun(t *testing.T) {
 	if erep.Result.Protocol != wcle.DefaultAlgorithm() {
 		t.Fatalf("default protocol = %q", erep.Result.Protocol)
 	}
-	old, err := wcle.ElectWith("", g, wcle.AlgorithmConfig{}, wcle.AlgorithmOptions{Seed: 7})
+	res, err := wcle.Elect(g, wcle.DefaultConfig(), wcle.Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if erep.Election.Success != old.Success || erep.Election.Rounds != old.Rounds ||
-		erep.Election.Metrics.Messages != old.Metrics.Messages {
-		t.Fatalf("Run vs ElectWith diverged: %+v vs %+v", erep.Election, old)
+	if erep.Election.Success != res.Success || erep.Election.Rounds != res.Rounds ||
+		erep.Election.Metrics.Messages != res.Metrics.Messages {
+		t.Fatalf("Run vs Elect diverged: %+v vs %+v", erep.Election, res)
 	}
 	if _, err := wcle.Run("no-such-protocol", g, wcle.ProtocolConfig{}, wcle.AlgorithmOptions{}); err == nil {
 		t.Fatal("unknown protocol should fail")
@@ -210,19 +211,20 @@ func TestPublicExperiments(t *testing.T) {
 	}
 }
 
-// ElectManyWith on the default backend aggregates a deterministic batch:
-// outcome counts are identical whatever the worker count, and a fault
+// RunMany on the default backend is a deterministic batch: every total
+// and per-trial vector is identical whatever the worker count, and a fault
 // plane threads through the facade.
 func TestElectManyDeterministicAcrossWorkers(t *testing.T) {
 	g, err := wcle.NewRandomRegular(32, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) *wcle.AlgorithmBatchResult {
-		res, err := wcle.ElectManyWith(wcle.DefaultAlgorithm(), g, wcle.AlgorithmConfig{Core: wcle.DefaultConfig()}, wcle.AlgorithmBatchOptions{
-			Base:    wcle.Options{Seed: 11, LeanMetrics: true},
-			Trials:  4,
-			Workers: workers,
+	run := func(workers int) *wcle.ProtocolBatchResult {
+		res, err := wcle.RunMany(wcle.DefaultAlgorithm(), g, wcle.ProtocolConfig{}, wcle.ProtocolBatchOptions{
+			Base:          wcle.Options{Seed: 11, LeanMetrics: true},
+			Trials:        4,
+			Workers:       workers,
+			CollectTrials: true,
 			NewFault: func(int) wcle.FaultPlane {
 				return wcle.ComposeFaults(&wcle.Drop{P: 0.02}, &wcle.Delay{Max: 1})
 			},
@@ -233,11 +235,11 @@ func TestElectManyDeterministicAcrossWorkers(t *testing.T) {
 		return res
 	}
 	a, b := run(1), run(3)
-	if a.Trials != 4 || a.One+a.Zero+a.Multi != 4 {
-		t.Fatalf("outcome counts inconsistent: %+v", a)
+	if a.Protocol != wcle.DefaultAlgorithm() || a.Trials != 4 || len(a.TrialMessages) != 4 {
+		t.Fatalf("batch shape inconsistent: %+v", a)
 	}
-	if a.One != b.One || a.Zero != b.Zero || a.Multi != b.Multi ||
-		a.Messages != b.Messages || a.FaultDrops != b.FaultDrops || a.Delayed != b.Delayed {
+	if a.Messages != b.Messages || a.Rounds != b.Rounds || a.FaultDrops != b.FaultDrops || a.Delayed != b.Delayed ||
+		fmt.Sprint(a.TrialMessages, a.TrialRounds) != fmt.Sprint(b.TrialMessages, b.TrialRounds) {
 		t.Fatalf("worker count changed batch results:\n1 worker  %+v\n3 workers %+v", a, b)
 	}
 	if a.FaultDrops == 0 && a.Delayed == 0 {
@@ -248,10 +250,10 @@ func TestElectManyDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestElectWithBackends drives every registered backend through the
-// facade on one clique and cross-checks that Elect (the default route)
-// matches ElectWith("gilbertrs18") exactly.
-func TestElectWithBackends(t *testing.T) {
+// TestRunBackends drives every registered backend through the facade on
+// one clique and cross-checks that Elect (the paper's typed route)
+// matches Run(DefaultAlgorithm()) exactly.
+func TestRunBackends(t *testing.T) {
 	g, err := wcle.NewClique(32, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -261,11 +263,11 @@ func TestElectWithBackends(t *testing.T) {
 		t.Fatalf("registered backends = %v, want at least 3", algos)
 	}
 	for _, name := range algos {
-		out, err := wcle.ElectWith(name, g, wcle.AlgorithmConfig{}, wcle.AlgorithmOptions{Seed: 4})
+		rep, err := wcle.Run(name, g, wcle.ProtocolConfig{}, wcle.AlgorithmOptions{Seed: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if out.Algorithm != name || len(out.Leaders) > 1 {
+		if out := rep.Election; out == nil || out.Algorithm != name || len(out.Leaders) > 1 {
 			t.Fatalf("%s: outcome %+v", name, out)
 		}
 	}
@@ -273,32 +275,40 @@ func TestElectWithBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := wcle.ElectWith(wcle.DefaultAlgorithm(), g, wcle.AlgorithmConfig{}, wcle.AlgorithmOptions{Seed: 4})
+	rep, err := wcle.Run(wcle.DefaultAlgorithm(), g, wcle.ProtocolConfig{}, wcle.AlgorithmOptions{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Leaders) != len(out.Leaders) || res.Metrics.Messages != out.Metrics.Messages {
-		t.Fatalf("Elect and ElectWith(default) diverged: %+v vs %+v", res, out)
+	if out := rep.Election; fmt.Sprint(res.Leaders) != fmt.Sprint(out.Leaders) ||
+		res.Metrics.Messages != out.Metrics.Messages || res.Rounds != out.Rounds {
+		t.Fatalf("Elect and Run(default) diverged: %+v vs %+v", res, out)
 	}
-	if _, err := wcle.ElectWith("paxos", g, wcle.AlgorithmConfig{}, wcle.AlgorithmOptions{Seed: 1}); err == nil {
+	if _, err := wcle.Run("paxos", g, wcle.ProtocolConfig{}, wcle.AlgorithmOptions{Seed: 1}); err == nil {
 		t.Fatal("unknown backend must error")
 	}
 }
 
-// TestElectManyWithBackends runs a floodmax batch through the facade's
-// generic batch path.
-func TestElectManyWithBackends(t *testing.T) {
+// TestRunManyBackends runs a floodmax batch through the facade's generic
+// batch path: its totals are the per-trial vectors summed.
+func TestRunManyBackends(t *testing.T) {
 	g, err := wcle.NewClique(16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := wcle.ElectManyWith("floodmax", g, wcle.AlgorithmConfig{}, wcle.AlgorithmBatchOptions{
-		Base: wcle.AlgorithmOptions{Seed: 5}, Trials: 5,
+	res, err := wcle.RunMany("floodmax", g, wcle.ProtocolConfig{}, wcle.ProtocolBatchOptions{
+		Base: wcle.AlgorithmOptions{Seed: 5}, Trials: 5, CollectTrials: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Protocol != "floodmax" || res.One != 5 {
+	if res.Protocol != "floodmax" || res.Trials != 5 || len(res.TrialMessages) != 5 {
 		t.Fatalf("floodmax batch: %+v", res)
+	}
+	var msgs int64
+	for _, m := range res.TrialMessages {
+		msgs += m
+	}
+	if msgs == 0 || msgs != res.Messages {
+		t.Fatalf("floodmax batch: trials sum to %d messages, total %d", msgs, res.Messages)
 	}
 }
