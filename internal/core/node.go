@@ -52,7 +52,7 @@ type node struct {
 	awaitStart int // round of the next phase start (-1 when none)
 
 	dSum, pSum int
-	i2         protocol.FastSet
+	i2         protocol.IDSet // a bitset over the outbox's Index, like every id set here
 	i2max      protocol.ID
 	i4max      protocol.ID
 
@@ -166,8 +166,9 @@ func (nd *node) beginPhase(ctx *sim.Context, p int) {
 	nd.phase = p
 	nd.awaitStart = -1
 	nd.dSum, nd.pSum = 0, 0
+	own := nd.outbox.Index.Of(nd.id)
 	nd.i2.Reset()
-	nd.i2.Add(nd.id)
+	nd.i2.Add(own)
 	nd.i2max = nd.id
 	nd.i4max = 0
 	tr := nd.tree(nd.id)
@@ -178,7 +179,7 @@ func (nd *node) beginPhase(ctx *sim.Context, p int) {
 	}
 	// The root's own id is part of its I2 from the start; record it so
 	// every (possibly late) child receives it.
-	tr.downX2.Add(nd.id)
+	tr.downX2.Add(own)
 	nd.holder.Add(nd.id, p, nd.rt.sched.tus[p], nd.rt.walks)
 	ctx.WakeAt(nd.rt.sched.decides[p])
 }
@@ -324,10 +325,10 @@ func (nd *node) registerProxy(ctx *sim.Context, origin protocol.ID, tr *tree, co
 		nd.pushUpX1(ctx, tr, nd.scrOne[:1], 0, 0)
 		nd.scrOne[0] = origin
 		nd.pushUpX1(ctx, otr, nd.scrOne[:1], 0, 0)
-		i3 = append(i3, otr.storedI2.List...)
+		i3 = otr.storedI2.AppendIDs(i3, &nd.outbox.Index)
 	}
 	// I3 snapshot: everything this node has stored from I2 floods.
-	i3 = append(i3, tr.storedI2.List...)
+	i3 = tr.storedI2.AppendIDs(i3, &nd.outbox.Index)
 	if len(i3) > 0 {
 		slices.Sort(i3)
 		nd.pushUpX3(tr, i3)
@@ -373,7 +374,7 @@ func (nd *node) rootConsumeX1(ctx *sim.Context, ids []protocol.ID, dDelta, pDelt
 	tr := nd.tree(nd.id)
 	fresh := nd.scrRoot[:0]
 	for _, id := range ids {
-		if nd.i2.Add(id) {
+		if nd.i2.Add(nd.outbox.Index.Of(id)) {
 			if id > nd.i2max {
 				nd.i2max = id
 			}
@@ -392,7 +393,7 @@ func (nd *node) rootConsumeX1(ctx *sim.Context, ids []protocol.ID, dDelta, pDelt
 func (nd *node) relayDownX2(ctx *sim.Context, tr *tree, ids []protocol.ID) {
 	fresh := nd.scrRelay[:0]
 	for _, id := range ids {
-		if tr.downX2.Add(id) {
+		if tr.downX2.Add(nd.outbox.Index.Of(id)) {
 			fresh = append(fresh, id)
 		}
 	}
@@ -415,7 +416,7 @@ func (nd *node) relayDownX2(ctx *sim.Context, tr *tree, ids []protocol.ID) {
 func (nd *node) storeI2(ctx *sim.Context, tr *tree, ids []protocol.ID) {
 	fresh := nd.scrStore[:0]
 	for _, id := range ids {
-		if tr.storedI2.Add(id) {
+		if tr.storedI2.Add(nd.outbox.Index.Of(id)) {
 			fresh = append(fresh, id)
 		}
 	}
@@ -579,8 +580,7 @@ func (nd *node) noteChild(tr *tree, port int) {
 	if !tr.addChild(port) {
 		return
 	}
-	if tr.downX2.Len() > 0 {
-		ids := append(nd.scrChild[:0], tr.downX2.List...)
+	if ids := tr.downX2.AppendIDs(nd.scrChild[:0], &nd.outbox.Index); len(ids) > 0 {
 		slices.Sort(ids)
 		nd.outbox.PushDown(port, tr.h, tr.phase, protocol.DownX2, ids)
 		nd.scrChild = ids[:0]

@@ -24,13 +24,13 @@ type tree struct {
 
 	// storedI2 is the proxy-role storage of the origin's I2 fragments
 	// ("the I2 sets received", Algorithm 2 round 3). It persists across
-	// phases.
-	storedI2 protocol.TrackedSet
+	// phases. Like downX2, it is a bitset over the node's id Index.
+	storedI2 protocol.IDSet
 
 	// downX2 records ids relayed down this tree this phase, so that
 	// children appearing later (walks still in flight) receive the full
 	// prefix. finalDown/winnerDown replicate control floods the same way.
-	downX2     protocol.TrackedSet
+	downX2     protocol.IDSet
 	finalDown  bool
 	winnerDown bool
 	winnerID   protocol.ID

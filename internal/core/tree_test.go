@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"wcle/internal/graph"
 	"wcle/internal/protocol"
+	"wcle/internal/sim"
 )
 
 func TestTreeAddChildSortedAndDeduped(t *testing.T) {
@@ -33,8 +35,8 @@ func TestTreeResetForPhase(t *testing.T) {
 	tr.finalDown = true
 	tr.winnerDown = true
 	tr.winnerID = 42
-	tr.storedI2.Add(protocol.ID(8))
-	tr.downX2.Add(protocol.ID(9))
+	tr.storedI2.Add(8)
+	tr.downX2.Add(9)
 
 	tr.resetForPhase(2, 6, false)
 	if tr.phase != 2 || tr.parentPort != 6 || tr.isRoot {
@@ -50,7 +52,7 @@ func TestTreeResetForPhase(t *testing.T) {
 		t.Fatal("down-flood record must clear (new phase, new tree)")
 	}
 	// storedI2 persists across phases per the paper's "I2 sets received".
-	if !tr.storedI2.Has(protocol.ID(8)) {
+	if !tr.storedI2.Has(8) {
 		t.Fatal("storedI2 must persist across phases")
 	}
 }
@@ -65,57 +67,53 @@ func TestDOf(t *testing.T) {
 	}
 }
 
-func TestTrackedSet(t *testing.T) {
-	var s protocol.TrackedSet
-	for _, id := range []protocol.ID{5, 1, 9, 3} {
-		if !s.Add(id) {
-			t.Fatalf("fresh id %d rejected", id)
-		}
-	}
-	if s.Add(5) {
-		t.Fatal("duplicate id accepted")
-	}
-	if s.Len() != 4 || len(s.List) != 4 {
-		t.Fatalf("set = %v (len %d)", s.List, s.Len())
-	}
-	// The list preserves insertion order (deterministic iteration).
-	want := []protocol.ID{5, 1, 9, 3}
-	for i := range want {
-		if s.List[i] != want[i] {
-			t.Fatalf("list = %v, want %v", s.List, want)
-		}
-		if !s.Has(want[i]) {
-			t.Fatalf("Has(%d) = false", want[i])
-		}
-	}
-	if s.Has(7) {
-		t.Fatal("absent id must not be a member")
-	}
-	s.Reset()
-	if s.Len() != 0 || len(s.List) != 0 || s.Has(5) {
-		t.Fatal("Reset must empty the set")
-	}
-}
+// stepProc runs a callback as a node's Step, handing it a live context.
+type stepProc func(ctx *sim.Context) error
 
-func TestFastSetGrowth(t *testing.T) {
-	var s protocol.FastSet
-	for id := protocol.ID(1); id <= 1000; id++ {
-		if !s.Add(id) {
-			t.Fatalf("fresh id %d rejected", id)
-		}
-		if s.Add(id) {
-			t.Fatalf("duplicate id %d accepted", id)
-		}
+func (f stepProc) Step(ctx *sim.Context, _ []sim.Envelope) error { return f(ctx) }
+
+// Id 0 names no node: a DownX2 and an UpX3 fragment carrying it reach a
+// fresh tree of a proxy with a child, and nothing is stored or relayed
+// for it. An honest id through the same tree is stored and relayed.
+func TestZeroIDNeitherStoredNorRelayed(t *testing.T) {
+	g, err := graph.Path(3, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Len() != 1000 {
-		t.Fatalf("len = %d, want 1000", s.Len())
+	inst, err := Build(g, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for id := protocol.ID(1); id <= 1000; id++ {
-		if !s.Has(id) {
-			t.Fatalf("lost id %d after growth", id)
+	nd := inst.nodes[1] // port 0 leads to node 0, port 1 to node 2
+	const origin = protocol.ID(77)
+	var tr *tree
+	idle := stepProc(func(*sim.Context) error { return nil })
+	probe := stepProc(func(ctx *sim.Context) error {
+		if ctx.Round() != 0 {
+			return nil
 		}
+		tr = nd.addTree(origin, 0, 0, false)
+		tr.proxyCount = 1
+		tr.addChild(1)
+		nd.onDown(ctx, &protocol.DownMsg{Origin: origin, Phase: 0, Op: protocol.DownX2, IDs: []protocol.ID{0}})
+		nd.onUp(ctx, &protocol.UpMsg{Origin: origin, Phase: 0, Stage: protocol.UpX3, IDs: []protocol.ID{0}})
+		if tr.downX2.Len() != 0 || tr.storedI2.Len() != 0 {
+			t.Errorf("id 0 recorded: downX2 holds %d ids, storedI2 %d", tr.downX2.Len(), tr.storedI2.Len())
+		}
+		if n := nd.outbox.Pending(); n != 0 {
+			t.Errorf("%d messages queued for id 0", n)
+		}
+		nd.onDown(ctx, &protocol.DownMsg{Origin: origin, Phase: 0, Op: protocol.DownX2, IDs: []protocol.ID{5}})
+		if tr.downX2.Len() != 1 || tr.storedI2.Len() != 1 || nd.outbox.Pending() != 2 {
+			t.Errorf("id 5: downX2 holds %d ids, storedI2 %d, %d messages queued; want 1, 1 and 2 (relay down, I3 up)",
+				tr.downX2.Len(), tr.storedI2.Len(), nd.outbox.Pending())
+		}
+		return nil
+	})
+	if _, err := sim.Run(sim.Config{Graph: g, Seed: 1}, []sim.Process{idle, probe, idle}); err != nil {
+		t.Fatal(err)
 	}
-	if s.Has(1001) {
-		t.Fatal("absent id reported present")
+	if tr == nil {
+		t.Fatal("the probe never ran")
 	}
 }

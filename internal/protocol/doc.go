@@ -21,12 +21,14 @@
 // the record names by index. Per-edge id filtering lives where repeats
 // arise: the outbox filters convergecasts, which reach a node from several
 // children; downcasts need no filter, because the caller's walk tree sends
-// each id to each child once per phase. Beside the outbox sit
-// allocation-lean id sets (FastSet for pure membership, TrackedSet when
-// members are also iterated), per-node message pooling (MsgPool), and the
-// Outbox.Resend redundancy knob for lossy transports — idempotent control
-// messages only; token batches and delta fragments are additive state and
-// are never duplicated.
+// each id to each child once per phase. Every id set is an IDSet, a
+// bitset over the node's Index, which numbers the (contender) ids the node
+// has seen in first-seen order and lives in the outbox, so the outbox's
+// convergecast filters and the election's own sets share it; id 0 names no
+// node and is never a member. Beside the outbox sit per-node message
+// pooling (MsgPool) and the Outbox.Resend redundancy knob for lossy
+// transports — idempotent control messages only; token batches and delta
+// fragments are additive state and are never duplicated.
 //
 // Identities are protocol-level: random draws from [1, n^4] (RandomID),
 // never node indices — the model is anonymous, and nothing in this

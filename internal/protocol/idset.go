@@ -1,151 +1,156 @@
 package protocol
 
-// This file holds the protocol's id-set representations. Two concerns are
-// separated deliberately:
+import "math/bits"
+
+// This file holds the protocol's id sets. Every id set the paper's election
+// keeps holds contender ids — a contender's I2, each walk tree's relay
+// record and proxy store, the outbox's per-edge convergecast filter — and
+// an honest run has only X ≈ c1·ln n contenders. So each node numbers the
+// ids it sees once, in an Index, and every set is an IDSet: a bitset over
+// those numbers. An arriving id costs one lookup in the node's small Index
+// table; a relay or filter decision is then a bit test on a word the set
+// holds inline.
 //
-//   - FastSet is a tiny open-addressing hash set used for pure membership
-//     filtering (the outbox's convergecast filters, a contender's I2
-//     accumulator). It exposes no iteration, so its probe order can never
-//     leak into protocol behavior.
-//   - TrackedSet adds the members in insertion order for sets that are
-//     also iterated; consumers sort at the point of use, which is what the
-//     replayability contract requires anyway.
+// Id 0 means "no id": no honest node draws it, but forged messages carry
+// it. The Index gives 0 no number, so no IDSet ever holds it.
+//
+// Neither type exposes an order other than the numbering itself, which is
+// the node's own first-seen order; consumers that push a set's members
+// sort them first, which the replayability contract requires anyway.
 
-// fastSetMinTable is the initial table size (power of two).
-const fastSetMinTable = 16
+// indexMinTable is the initial size of an Index's hash table (a power of
+// two; the table stays at most half full).
+const indexMinTable = 32
 
-// FastSet is an allocation-lean set of non-zero IDs (protocol ids are drawn
-// from [1, n^4], so 0 is free as the empty slot marker). Small sets live in
-// an inline array (most per-edge filter sets hold a handful of ids and
-// never touch the heap); larger ones migrate to a linear-probed
-// power-of-two table. The zero value is ready to use.
-type FastSet struct {
-	n     int
-	small [4]ID
-	tab   []ID
+// Index numbers the ids one node has seen: 0, 1, 2, … in the order the
+// node first asks for them. The zero value is empty and ready to use.
+type Index struct {
+	ids  []ID    // the ids, by number
+	keys []ID    // open-addressed hash table of the ids; 0 marks an empty slot
+	nums []int32 // the number of keys[i]
 }
 
-// hashID mixes an id for table placement (splitmix64's multiplier; the
-// probe order is internal and never observable).
-func hashID(id ID) uint64 {
-	z := uint64(id) * 0x9E3779B97F4A7C15
-	return z ^ (z >> 29)
-}
-
-// Len returns the number of members.
-func (s *FastSet) Len() int { return s.n }
-
-// Reset empties the set, keeping the table.
-func (s *FastSet) Reset() {
-	clear(s.tab)
-	s.n = 0
-}
-
-// Has reports membership.
-func (s *FastSet) Has(id ID) bool {
-	if s.tab == nil {
-		for i := 0; i < s.n; i++ {
-			if s.small[i] == id {
-				return true
-			}
-		}
-		return false
+// Of returns id's number, numbering id first if it is new. Id 0 gets no
+// number: Of returns -1, which no IDSet admits.
+func (x *Index) Of(id ID) int {
+	if id == 0 {
+		return -1
 	}
-	if s.n == 0 {
-		return false
+	if x.keys == nil {
+		x.rehash(indexMinTable)
 	}
-	mask := uint64(len(s.tab) - 1)
-	for i := hashID(id) & mask; ; i = (i + 1) & mask {
-		switch s.tab[i] {
-		case id:
-			return true
-		case 0:
-			return false
+	mask := len(x.keys) - 1
+	i := slotOf(id, mask)
+	for ; x.keys[i] != 0; i = (i + 1) & mask {
+		if x.keys[i] == id {
+			return int(x.nums[i])
 		}
 	}
-}
-
-// Add inserts id; reports whether it was absent. id must be non-zero.
-func (s *FastSet) Add(id ID) bool {
-	if s.tab == nil {
-		for i := 0; i < s.n; i++ {
-			if s.small[i] == id {
-				return false
-			}
-		}
-		if s.n < len(s.small) {
-			s.small[s.n] = id
-			s.n++
-			return true
-		}
-		// Migrate the inline members to a heap table.
-		s.tab = make([]ID, fastSetMinTable)
-		n := s.n
-		s.n = 0
-		for i := 0; i < n; i++ {
-			s.insert(s.small[i])
-		}
-	} else if 4*s.n >= 3*len(s.tab) {
-		s.grow()
+	k := len(x.ids)
+	x.ids = append(x.ids, id)
+	if 2*len(x.ids) > len(x.keys) {
+		x.rehash(2 * len(x.keys))
+	} else {
+		x.keys[i], x.nums[i] = id, int32(k)
 	}
-	return s.insert(id)
+	return k
 }
 
-// insert adds id to the heap table (which must exist and have room).
-func (s *FastSet) insert(id ID) bool {
-	mask := uint64(len(s.tab) - 1)
-	for i := hashID(id) & mask; ; i = (i + 1) & mask {
-		switch s.tab[i] {
-		case id:
-			return false
-		case 0:
-			s.tab[i] = id
-			s.n++
-			return true
-		}
-	}
-}
-
-func (s *FastSet) grow() {
-	old := s.tab
-	s.tab = make([]ID, 2*len(old))
-	mask := uint64(len(s.tab) - 1)
-	for _, id := range old {
-		if id == 0 {
-			continue
-		}
-		i := hashID(id) & mask
-		for s.tab[i] != 0 {
+// rehash rebuilds the hash table at the given size from the numbered ids.
+func (x *Index) rehash(size int) {
+	x.keys = make([]ID, size)
+	x.nums = make([]int32, size)
+	mask := size - 1
+	for k, id := range x.ids {
+		i := slotOf(id, mask)
+		for x.keys[i] != 0 {
 			i = (i + 1) & mask
 		}
-		s.tab[i] = id
+		x.keys[i], x.nums[i] = id, int32(k)
 	}
 }
 
-// TrackedSet is a FastSet plus the members in insertion order, for sets
-// that are also iterated (sorted by the consumer at the point of use).
-type TrackedSet struct {
-	set  FastSet
-	List []ID
+// slotOf places an id in a table of mask+1 slots (splitmix64's multiplier;
+// the placement is internal and never observable, and it spreads forged
+// runs of consecutive ids as well as random ones).
+func slotOf(id ID, mask int) int {
+	z := uint64(id) * 0x9E3779B97F4A7C15
+	return int(z^(z>>32)) & mask
 }
 
-// Add inserts id; reports whether it was absent.
-func (s *TrackedSet) Add(id ID) bool {
-	if !s.set.Add(id) {
+// IDSet is a set of ids held as a bitset over one node's Index: bit k is
+// set when the id numbered k is a member. The first word is inline, so a
+// set over a node's first 64 numbered ids (every honest run at the
+// repository's scales) never touches the heap; further words grow to the
+// highest number the set holds. The zero value is empty and ready to use.
+type IDSet struct {
+	w0   uint64
+	more []uint64 // words 1, 2, …
+}
+
+// Add inserts the id numbered k and reports whether it was absent. A
+// negative k, which stands for id 0, is never a member.
+func (s *IDSet) Add(k int) bool {
+	if k < 64 {
+		if k < 0 {
+			return false
+		}
+		bit := uint64(1) << k
+		if s.w0&bit != 0 {
+			return false
+		}
+		s.w0 |= bit
+		return true
+	}
+	j := k/64 - 1
+	if j >= len(s.more) {
+		s.more = append(s.more, make([]uint64, j+1-len(s.more))...)
+	}
+	bit := uint64(1) << (k % 64)
+	if s.more[j]&bit != 0 {
 		return false
 	}
-	s.List = append(s.List, id)
+	s.more[j] |= bit
 	return true
 }
 
-// Has reports membership.
-func (s *TrackedSet) Has(id ID) bool { return s.set.Has(id) }
+// Has reports whether the id numbered k is a member.
+func (s *IDSet) Has(k int) bool {
+	if k < 64 {
+		return k >= 0 && s.w0&(1<<k) != 0
+	}
+	j := k/64 - 1
+	return j < len(s.more) && s.more[j]&(1<<(k%64)) != 0
+}
 
 // Len returns the number of members.
-func (s *TrackedSet) Len() int { return s.set.Len() }
+func (s *IDSet) Len() int {
+	n := bits.OnesCount64(s.w0)
+	for _, w := range s.more {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
-// Reset empties the set, keeping its storage.
-func (s *TrackedSet) Reset() {
-	s.set.Reset()
-	s.List = s.List[:0]
+// Reset empties the set, keeping its words.
+func (s *IDSet) Reset() {
+	s.w0 = 0
+	clear(s.more)
+}
+
+// AppendIDs appends the members' ids to dst, in x's numbering order.
+func (s *IDSet) AppendIDs(dst []ID, x *Index) []ID {
+	dst = appendWord(dst, s.w0, x.ids)
+	for j, w := range s.more {
+		dst = appendWord(dst, w, x.ids[64*(j+1):])
+	}
+	return dst
+}
+
+// appendWord appends ids[b] for every set bit b of w.
+func appendWord(dst []ID, w uint64, ids []ID) []ID {
+	for ; w != 0; w &= w - 1 {
+		dst = append(dst, ids[bits.TrailingZeros64(w)])
+	}
+	return dst
 }

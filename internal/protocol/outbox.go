@@ -26,15 +26,16 @@ type qpos uint64
 
 // upSlot is the merge state of one tree's convergecast flow for one stage:
 // the still-queued fragment new ids and deltas merge into, and the per-edge
-// filter of ids already queued or sent. Both belong to (phase, port); a
-// push for another phase or port starts them afresh. A tree's convergecast
-// port is its parent port, fixed for a phase, and its phase only grows, so
-// no older flow is ever pushed to again.
+// filter of ids already queued or sent, a bitset over the outbox's Index.
+// Both belong to (phase, port); a push for another phase or port starts
+// them afresh. A tree's convergecast port is its parent port, fixed for a
+// phase, and its phase only grows, so no older flow is ever pushed to
+// again.
 type upSlot struct {
 	open  qpos
 	phase int
 	port  int32
-	sent  FastSet
+	sent  IDSet
 }
 
 // Record kinds, one per message type.
@@ -160,6 +161,11 @@ type Outbox struct {
 	bufs [][]ID
 	free []int
 
+	// Index numbers the ids the node has seen. The convergecast filters
+	// are bitsets over it, and so are the node's own id sets, which share
+	// it.
+	Index Index
+
 	// Pool, when non-nil, supplies recycled message objects for the send
 	// path (see MsgPool).
 	Pool *MsgPool
@@ -221,7 +227,8 @@ func (ob *Outbox) PushToken(port int, h Handle, phase, remaining, count int) {
 // PushUp enqueues convergecast data for the tree with handle h: an optional
 // id fragment plus additive deltas. Ids are chunked across messages per the
 // codec's id limit; an id already queued or sent on this port for the same
-// (origin, phase, stage) is filtered out (the paper's per-edge filtering).
+// (origin, phase, stage) is filtered out (the paper's per-edge filtering),
+// and so is id 0, which names no node.
 // Deltas merge into the newest queued fragment regardless of its id load,
 // or open a new one. A tree's convergecasts go to its parent port, one port
 // per phase, and its phase only grows, so h's slots keep the filter and the
@@ -244,7 +251,7 @@ func (ob *Outbox) PushUp(port int, h Handle, phase int, stage UpStage, ids []ID,
 		cur.b += pDelta
 	}
 	for _, id := range ids {
-		if !slot.sent.Add(id) {
+		if !slot.sent.Add(ob.Index.Of(id)) {
 			continue
 		}
 		if cur == nil || ob.numIDs(cur) >= ob.codec.MaxIDs {

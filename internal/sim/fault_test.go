@@ -249,6 +249,52 @@ func TestFaultObserverCounts(t *testing.T) {
 	}
 }
 
+// Every per-send fault the metrics count reaches the fault observer and
+// the tracer's per-round tallies as one event of its kind. A forgery the
+// mutator destroys is both a mutation and a drop, in all three.
+func TestFaultEventsMatchMetrics(t *testing.T) {
+	g, err := graph.Clique(10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planes := []struct {
+		name  string
+		fault func() FaultPlane
+	}{
+		{"byzantine", func() FaultPlane { return &Byzantine{Frac: 0.5} }},
+		{"byzantine+drop", func() FaultPlane { return Compose(&Byzantine{Frac: 0.5}, &Drop{P: 0.2}) }},
+		{"drop+delay", func() FaultPlane { return Compose(&Drop{P: 0.3}, &Delay{Max: 2}) }},
+	}
+	for _, pc := range planes {
+		t.Run(pc.name, func(t *testing.T) {
+			fo := &countObserver{}
+			ring := obs.NewRing(1 << 16)
+			m, err := Run(Config{
+				Graph: g, Seed: 3,
+				Fault:         pc.fault(),
+				FaultObserver: fo,
+				Tracer:        obs.New(ring, 0),
+			}, floodProcs(g.N()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.FaultDrops == 0 {
+				t.Fatal("the plane lost no send")
+			}
+			traced, _ := traceFaultCounts(t, ring)
+			for _, c := range []struct {
+				kind    FaultKind
+				metrics int64
+			}{{FaultDrop, m.FaultDrops}, {FaultMutate, m.Mutated}, {FaultDelay, m.Delayed}} {
+				if fo.kinds[c.kind] != c.metrics || traced[c.kind.String()] != c.metrics {
+					t.Errorf("%s: observer saw %d, tracer tallied %d, metrics count %d",
+						c.kind, fo.kinds[c.kind], traced[c.kind.String()], c.metrics)
+				}
+			}
+		})
+	}
+}
+
 // traceFaultCounts sums the "count" args of a recorded run's per-send
 // fault instants by kind and counts its crash instants. It fails the test
 // if the ring overflowed or a busy round carries two instants of one

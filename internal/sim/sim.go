@@ -630,13 +630,15 @@ func (r *Runner) dispatch(from, fromPort int, payload Message) {
 	}
 	// The active adversary rewrites the payload after the send is accounted
 	// (the sender paid message complexity for the original) and before the
-	// omission Fate; a mutation that destroyed the message is a fault drop.
+	// omission Fate; a mutation that destroyed the message is a fault drop
+	// too, and observers see both events, as the metrics count both.
 	if r.mut != nil {
 		forged, deliver := r.mut.Mutate(r.round, from, to, payload)
 		if !deliver {
 			r.metrics.Mutated++
 			r.metrics.FaultDrops++
 			r.observeFault(FaultEvent{Round: r.round, Kind: FaultMutate, Node: to, From: from})
+			r.observeFault(FaultEvent{Round: r.round, Kind: FaultDrop, Node: to, From: from})
 			return
 		}
 		if forged != nil {
