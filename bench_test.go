@@ -175,18 +175,6 @@ func BenchmarkKpprtFaultyFlightRing(b *testing.B) {
 	benchKpprtFaulty(b, obs.New(obs.NewRing(0), 0))
 }
 
-func BenchmarkElectConcurrentEngine(b *testing.B) {
-	g, err := wcle.NewRandomRegular(128, 8, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := wcle.Elect(g, wcle.DefaultConfig(), wcle.Options{Seed: int64(i), Concurrent: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFloodMax256(b *testing.B) {
 	g, err := wcle.NewRandomRegular(256, 8, 1)
 	if err != nil {

@@ -40,24 +40,18 @@ func run() error {
 		quick   = flag.Bool("quick", false, "small sizes and trial counts")
 		seed    = flag.Int64("seed", 42, "suite seed")
 		exps    = flag.String("experiments", "", "comma-separated experiment ids (default: all)")
-		expOld  = flag.String("exp", "", "alias for -experiments")
 		trials  = flag.Int("trials", 0, "override every experiment's per-point trial count (0 = spec defaults)")
 		maxN    = flag.Int("n", 0, "cap graph sizes at n (0 = regime defaults)")
 		workers = flag.Int("workers", runtime.NumCPU(), "worker-pool size for parallel trials")
 		jsonOut = flag.String("json", "", "write raw trial metrics as canonical JSON to this file")
 		render  = flag.String("render", "", "render the experiment tables as Markdown to this file (\"-\" = stdout)")
-		out     = flag.String("out", "", "alias for -render")
 		ckpt    = flag.String("checkpoint", "", "checkpoint file: loaded to resume, rewritten during the run")
 	)
 	flag.Parse()
 
-	sel := *exps
-	if sel == "" {
-		sel = *expOld
-	}
 	var ids []string
-	if sel != "" {
-		ids = strings.Split(sel, ",")
+	if *exps != "" {
+		ids = strings.Split(*exps, ",")
 	}
 	cfg := experiments.SuiteConfig{Seed: *seed, Quick: *quick, Trials: *trials, MaxN: *maxN}
 	h := &experiments.Harness{
@@ -87,13 +81,9 @@ func run() error {
 		}
 	}
 
-	dest := *render
-	if dest == "" {
-		dest = *out
-	}
 	w := os.Stdout
-	if dest != "" && dest != "-" {
-		f, err := os.Create(dest)
+	if *render != "" && *render != "-" {
+		f, err := os.Create(*render)
 		if err != nil {
 			return err
 		}

@@ -52,6 +52,7 @@ import (
 	"wcle/internal/algo"
 	"wcle/internal/cluster"
 	"wcle/internal/obs"
+	"wcle/internal/serve"
 )
 
 func main() {
@@ -80,7 +81,6 @@ func run() error {
 		seed    = flag.Int64("seed", 1, "election seed")
 		horizon = flag.Int("horizon", 0, "floodmax decision round (0 = n)")
 		hops    = flag.Int("hops", 0, "kpprt referee-sampling walk length (0 = auto)")
-		resend  = flag.Int("resend", 0, "gilbertrs18 idempotent retransmissions")
 		jsonOut = flag.Bool("json", false, "print the full merged result as JSON")
 
 		drop          = flag.Float64("drop", 0, "fault plane: drop each send with this probability [0,1)")
@@ -107,7 +107,7 @@ func run() error {
 	if *algoName != "" && !algo.Known(*algoName) {
 		return fmt.Errorf("unknown algorithm %q (registered backends: %s)", *algoName, strings.Join(algo.Names(), ", "))
 	}
-	spec, err := buildJob(*family, *n, *d, *gseed, *algoName, *seed, *horizon, *hops, *resend)
+	spec, err := buildJob(*family, *n, *d, *gseed, *algoName, *seed, *horizon, *hops)
 	if err != nil {
 		return err
 	}
@@ -166,8 +166,12 @@ func openTraceSink(path string) (obs.Sink, func(), error) {
 	return ws, flush, nil
 }
 
-// buildJob assembles the JobSpec from the job flags.
-func buildJob(family string, n, d int, gseed int64, algoName string, seed int64, horizon, hops, resend int) (cluster.JobSpec, error) {
+// buildJob assembles the JobSpec from the job flags. n is bounded before
+// it is rounded up to a hypercube dimension or a torus side.
+func buildJob(family string, n, d int, gseed int64, algoName string, seed int64, horizon, hops int) (cluster.JobSpec, error) {
+	if n < 1 || n > serve.MaxGraphNodes {
+		return cluster.JobSpec{}, fmt.Errorf("-n %d out of range [1, %d]", n, serve.MaxGraphNodes)
+	}
 	gs := wcle.GraphSpec{Family: family, Seed: gseed}
 	switch family {
 	case "clique", "cycle", "path":
@@ -193,7 +197,6 @@ func buildJob(family string, n, d int, gseed int64, algoName string, seed int64,
 		Seed:      seed,
 		Horizon:   horizon,
 		Hops:      hops,
-		Resend:    resend,
 	}, nil
 }
 

@@ -11,7 +11,7 @@
 //	electsim -graph clique -n 256 -algo kpprt
 //	electsim -graph clique -n 256 -algo floodmax
 //	electsim -graph lb -n 1024 -alpha 0.005
-//	electsim -graph rr -n 128 -drop 0.05 -resend 2
+//	electsim -graph rr -n 128 -drop 0.05
 //	electsim -graph rr -n 128 -crash 0.2@1 -delay 3
 //	electsim -graph rr -n 128 -byz 0.15
 //	electsim -protocol pushpull -graph rr -n 128 -rumor 7 -byz 1,9 -defend
@@ -29,6 +29,7 @@ import (
 	"wcle/internal/core"
 	"wcle/internal/obs"
 	"wcle/internal/protocol"
+	"wcle/internal/serve"
 )
 
 func main() {
@@ -39,6 +40,9 @@ func main() {
 }
 
 func buildGraph(family string, n, d int, alpha float64, seed int64) (*wcle.Graph, error) {
+	if n < 1 || n > serve.MaxGraphNodes {
+		return nil, fmt.Errorf("-n %d out of range [1, %d]", n, serve.MaxGraphNodes)
+	}
 	switch family {
 	case "clique":
 		return wcle.NewClique(n, seed)
@@ -103,7 +107,6 @@ func run() error {
 		crash    = flag.String("crash", "", "fault plane: \"frac@round\" (e.g. 0.2@1) or \"node:round,...\"")
 		byz      = flag.String("byz", "", "fault plane: Byzantine adversary, a fraction (\"0.15\") or pinned node list (\"1,9\")")
 		defend   = flag.Bool("defend", false, "protocol mode: wrap the protocol in committee-sampled validation (engine.WithCommittee)")
-		resend   = flag.Int("resend", 0, "retransmit each idempotent protocol message this many extra times")
 		traceOut = flag.String("trace", "", "write a structured trace of the run (NDJSON, electtrace-readable) to this file")
 	)
 	flag.Parse()
@@ -146,8 +149,8 @@ func run() error {
 			// Non-default backends run through the generic engine, as
 			// -protocol does; the paper-specific knobs stay with the
 			// default algorithm rather than being silently ignored.
-			if *explicit || *phases || *fixed > 0 || *resend > 0 || *large || *c1 > 0 || *c2 > 0 {
-				return fmt.Errorf("-explicit/-phases/-fixed-tu/-resend/-large/-c1/-c2 only apply to %s", wcle.DefaultAlgorithm())
+			if *explicit || *phases || *fixed > 0 || *large || *c1 > 0 || *c2 > 0 {
+				return fmt.Errorf("-explicit/-phases/-fixed-tu/-large/-c1/-c2 only apply to %s", wcle.DefaultAlgorithm())
 			}
 			name = *algoName
 		}
@@ -186,7 +189,6 @@ func run() error {
 	if *fixed > 0 {
 		cfg.FixedWalkLen = *fixed
 	}
-	cfg.Resend = *resend
 	faults := attachFaultLog(&opts)
 	var phaseObs *core.PhaseObserver
 	if *phases {

@@ -16,6 +16,7 @@ import (
 	"wcle"
 	"wcle/internal/core"
 	"wcle/internal/graph"
+	"wcle/internal/serve"
 )
 
 func main() {
@@ -89,6 +90,9 @@ func run() error {
 }
 
 func build(family string, n, d int, alpha float64, seed int64) (*wcle.Graph, error) {
+	if n < 1 || n > serve.MaxGraphNodes {
+		return nil, fmt.Errorf("-n %d out of range [1, %d]", n, serve.MaxGraphNodes)
+	}
 	switch family {
 	case "clique":
 		return wcle.NewClique(n, seed)

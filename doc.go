@@ -61,13 +61,13 @@
 //
 // The root package is a facade over the internal packages: internal/core
 // (the paper's algorithm), internal/engine (the generic protocol contract
-// and registry), internal/algo (the election backends, registered in the
-// engine), internal/sim (the synchronous CONGEST engine),
-// internal/graph (families and the lower-bound constructions),
-// internal/spectral (mixing times and conductance), internal/protocol
-// (CONGEST message plumbing), internal/broadcast, internal/baseline,
-// internal/lowerbound, internal/serve (the electd service layer), and
-// internal/experiments (the E1-E23 suite described in DESIGN.md, run on a
+// and registry, with the push-pull and BFS-tree substrates), internal/algo
+// (the election backends, registered in the engine), internal/sim (the
+// synchronous CONGEST engine), internal/graph (families and the
+// lower-bound constructions), internal/spectral (mixing times and
+// conductance), internal/protocol (CONGEST message plumbing),
+// internal/baseline, internal/lowerbound, internal/serve (the electd
+// service layer), and internal/experiments (the E1-E23 suite described in DESIGN.md, run on a
 // parallel worker-pool harness and rendered into EXPERIMENTS.md by
 // cmd/benchsuite). README.md has the CLI quickstart.
 package wcle

@@ -51,7 +51,7 @@ func main() {
 		info.Spectral.Tmix, info.Spectral.Lambda2, info.Spectral.CheegerLo, info.Spectral.CheegerHi)
 
 	// Submit a 10-trial batch, one point clean and one under a lossy
-	// delivery plane with retransmission buying the losses back.
+	// delivery plane.
 	var sub struct {
 		ID       string `json:"id"`
 		Location string `json:"location"`
@@ -60,7 +60,7 @@ func main() {
 		"seed": 42,
 		"points": [
 			{"graph": "rr64", "trials": 10},
-			{"graph": "rr64", "trials": 10, "resend": 2, "fault": {"drop": 0.05}}
+			{"graph": "rr64", "trials": 10, "fault": {"drop": 0.05}}
 		]
 	}`, &sub)
 	fmt.Println("submitted", sub.ID)

@@ -35,12 +35,12 @@ func newGilbertRS18Fixed(cfg engine.Config) ElectionProtocol {
 	return gilbert{name: GilbertRS18Fixed, cfg: coreConfig(cfg), fixedAuto: cfg.FixedTu <= 0}
 }
 
-// coreConfig applies cfg's election knobs (Resend, AssumedN, C1, C2,
-// MaxWalkLen, FixedTu) to core.DefaultConfig(); a knob that is not
-// positive keeps the default.
+// coreConfig applies cfg's election knobs (AssumedN, C1, C2, MaxWalkLen,
+// FixedTu) to core.DefaultConfig(); a knob that is not positive keeps the
+// default.
 func coreConfig(cfg engine.Config) core.Config {
 	c := core.DefaultConfig()
-	c.Resend, c.AssumedN = cfg.Resend, cfg.AssumedN
+	c.AssumedN = cfg.AssumedN
 	if cfg.C1 > 0 {
 		c.C1 = cfg.C1
 	}

@@ -79,7 +79,6 @@ func TestBarrierModesFaultParity(t *testing.T) {
 		Graph:     serve.GraphSpec{Family: "clique", N: 18, Seed: 5},
 		Algorithm: algo.FloodMax,
 		Seed:      17,
-		Resend:    2,
 		Fault:     fault,
 	}
 	want, wantCounts := electInProcess(t, spec)

@@ -78,12 +78,11 @@ func (c *Client) Close() error {
 // wire traffic it cost (electd exports it through /metrics). The fault
 // spec rides along — every plane it can express is shard-safe, so the
 // outcome stays seed-deterministic on the wire.
-func (c *Client) RunElection(spec serve.GraphSpec, algorithm string, seed int64, resend, assumedN int, fault serve.FaultSpec) (*algo.Outcome, serve.ClusterWire, error) {
+func (c *Client) RunElection(spec serve.GraphSpec, algorithm string, seed int64, assumedN int, fault serve.FaultSpec) (*algo.Outcome, serve.ClusterWire, error) {
 	res, err := c.Run(JobSpec{
 		Graph:     spec,
 		Algorithm: algorithm,
 		Seed:      seed,
-		Resend:    resend,
 		AssumedN:  assumedN,
 		Fault:     fault,
 	})

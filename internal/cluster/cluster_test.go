@@ -92,7 +92,7 @@ func TestClusterMatchesInProcessSim(t *testing.T) {
 // count and per-node sends. Each value is one its backends accept and
 // differs from their defaults.
 func TestClusterKnobsMatchInProcess(t *testing.T) {
-	knobs := engine.Config{Resend: 1, AssumedN: 32, C1: 4, C2: 3, MaxWalkLen: 2, FixedTu: 8, Horizon: 6, Hops: 2, Window: 60}
+	knobs := engine.Config{AssumedN: 32, C1: 4, C2: 3, MaxWalkLen: 2, FixedTu: 8, Horizon: 6, Hops: 2, Window: 60}
 	gs := serve.GraphSpec{Family: "clique", N: 24, Seed: 3}
 	g, err := gs.Build()
 	if err != nil {
@@ -121,7 +121,7 @@ func TestClusterKnobsMatchInProcess(t *testing.T) {
 			}
 			got, err := local.Run(JobSpec{
 				Graph: gs, Algorithm: name, Seed: 3,
-				Resend: cfg.Resend, AssumedN: cfg.AssumedN, C1: cfg.C1, C2: cfg.C2, MaxWalkLen: cfg.MaxWalkLen,
+				AssumedN: cfg.AssumedN, C1: cfg.C1, C2: cfg.C2, MaxWalkLen: cfg.MaxWalkLen,
 				FixedTu: cfg.FixedTu, Horizon: cfg.Horizon, Hops: cfg.Hops, Window: cfg.Window,
 			})
 			if err != nil {

@@ -38,7 +38,6 @@ func clusterSpec(name string, cfg engine.Config, g *graph.Graph, opts engine.Opt
 		Seed:       opts.Seed,
 		DebugFrom:  opts.DebugFrom,
 		MaxRounds:  opts.MaxRounds,
-		Resend:     cfg.Resend,
 		AssumedN:   cfg.AssumedN,
 		C1:         cfg.C1,
 		C2:         cfg.C2,

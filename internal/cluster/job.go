@@ -38,10 +38,9 @@ type JobSpec struct {
 	// seed elects the same leader as the in-process sim.
 	Seed int64 `json:"seed"`
 	// The election knobs are engine.Config's fields of the same names
-	// (see JobSpec.config); zero keeps a backend's default. Resend,
-	// AssumedN, C1, C2 and MaxWalkLen parameterize the gilbertrs18
-	// backends, C1 and C2 also kpprt.
-	Resend     int     `json:"resend,omitempty"`
+	// (see JobSpec.config); zero keeps a backend's default. AssumedN, C1,
+	// C2 and MaxWalkLen parameterize the gilbertrs18 backends, C1 and C2
+	// also kpprt.
 	AssumedN   int     `json:"assumed_n,omitempty"`
 	C1         float64 `json:"c1,omitempty"`
 	C2         float64 `json:"c2,omitempty"`
@@ -109,7 +108,6 @@ func liveShards(owner []int, shards int) []bool {
 // decides which of them it reads.
 func (s JobSpec) config() engine.Config {
 	return engine.Config{
-		Resend:     s.Resend,
 		AssumedN:   s.AssumedN,
 		C1:         s.C1,
 		C2:         s.C2,

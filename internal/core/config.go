@@ -79,13 +79,6 @@ type Config struct {
 	// (ablation; the paper's "appends it to all future messages").
 	DisablePiggyback bool
 
-	// Resend retransmits each idempotent protocol message (downcast floods
-	// and delta-free convergecast fragments) up to Resend extra times per
-	// edge — redundancy against lossy delivery (a sim.Drop fault plane).
-	// 0 (the default) sends every message exactly once. Retransmissions
-	// respect the CONGEST discipline and count toward message complexity.
-	Resend int
-
 	// AssumedN, when positive, makes every node believe the network has
 	// AssumedN nodes instead of the true size. The paper's Theorem 28
 	// experiment (Section 5) runs the algorithm on a dumbbell graph with

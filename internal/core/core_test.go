@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/protocol"
+	"wcle/internal/sim"
 	"wcle/internal/spectral"
 )
 
@@ -183,22 +185,45 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
+// coreElection runs core.Build as an engine protocol, for engine.RunMany.
+type coreElection struct{}
+
+func (coreElection) Name() string    { return "core" }
+func (coreElection) Slots() []string { return []string{"leader", "contender", "id"} }
+func (coreElection) Init(g *graph.Graph) (engine.Instance, error) {
+	return Build(g, DefaultConfig())
+}
+
+// Elections run concurrently as engine.RunMany trials on two workers, each
+// with its own instance and message pool, match the same elections run one
+// at a time.
 func TestConcurrentEngineEquivalence(t *testing.T) {
 	g := expander(t, 48, 4, 22)
-	seq, err := Run(g, DefaultConfig(), engine.Options{Seed: 44})
+	const trials = 4
+	par := make([]*Result, trials)
+	_, err := engine.RunMany(coreElection{}, g, engine.BatchOptions{
+		Base:    engine.Options{Seed: 44},
+		Trials:  trials,
+		Workers: 2,
+	}, func(i int, inst engine.Instance, res *engine.Result) error {
+		par[i] = inst.(*Instance).Collect(res.Metrics)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(g, DefaultConfig(), engine.Options{Seed: 44, Concurrent: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Metrics.Messages != par.Metrics.Messages || seq.Rounds != par.Rounds {
-		t.Fatalf("engines diverge: %d/%d vs %d/%d",
-			seq.Metrics.Messages, seq.Rounds, par.Metrics.Messages, par.Rounds)
-	}
-	if len(seq.Leaders) != len(par.Leaders) || (len(seq.Leaders) == 1 && seq.Leaders[0] != par.Leaders[0]) {
-		t.Fatalf("leaders diverge: %v vs %v", seq.Leaders, par.Leaders)
+	for i, p := range par {
+		seq, err := Run(g, DefaultConfig(), engine.Options{Seed: sim.DeriveSeed(44, uint64(i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq.Metrics.Messages != p.Metrics.Messages || seq.Rounds != p.Rounds {
+			t.Fatalf("trial %d diverges: %d/%d vs %d/%d msgs/rounds",
+				i, seq.Metrics.Messages, seq.Rounds, p.Metrics.Messages, p.Rounds)
+		}
+		if fmt.Sprint(seq.Leaders, seq.LeaderIDs) != fmt.Sprint(p.Leaders, p.LeaderIDs) {
+			t.Fatalf("trial %d leaders diverge: %v vs %v", i, seq.Leaders, p.Leaders)
+		}
 	}
 }
 

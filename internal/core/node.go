@@ -21,7 +21,6 @@ type node struct {
 
 	holder *protocol.Holder
 	outbox *protocol.Outbox
-	pool   *protocol.MsgPool
 
 	// Walk trees, one per known origin, as parallel slices sorted by
 	// origin id (binary-search lookup; the map this replaces dominated the
@@ -76,17 +75,16 @@ func (nd *node) Output() []int64 {
 	return []int64{leader, contender, int64(nd.id)}
 }
 
-func newNode(rt *runtime, idx, degree int) *node {
-	pool := &protocol.MsgPool{}
+// newNode builds node idx, whose outbox draws from pool, the message pool
+// every node of the election shares.
+func newNode(rt *runtime, idx, degree int, pool *protocol.MsgPool) *node {
 	ob := protocol.NewOutbox(rt.codec, degree)
 	ob.Pool = pool
-	ob.Resend = rt.cfg.Resend
 	return &node{
 		rt:         rt,
 		idx:        idx,
 		holder:     protocol.NewHolder(),
 		outbox:     ob,
-		pool:       pool,
 		phase:      -1,
 		awaitStart: -1,
 		stopRound:  -1,
@@ -123,8 +121,8 @@ func (nd *node) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 			return err
 		}
 		// The message is fully consumed (handlers copy what they keep);
-		// recycle it for this node's own sends.
-		nd.pool.Put(env.Payload)
+		// recycle it for the election's next sends.
+		nd.outbox.Pool.Put(env.Payload)
 	}
 	nd.boundaryActions(ctx)
 	nd.stepTokens(ctx)

@@ -74,9 +74,12 @@ func Build(g *graph.Graph, cfg Config) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One pool for the whole election: its nodes step one at a time, and
+	// each run (each batch trial, each cluster shard) builds its own.
+	pool := &protocol.MsgPool{}
 	nodes := make([]*node, g.N())
 	for v := 0; v < g.N(); v++ {
-		nodes[v] = newNode(rt, v, g.Degree(v))
+		nodes[v] = newNode(rt, v, g.Degree(v), pool)
 	}
 	return &Instance{rt: rt, nodes: nodes}, nil
 }

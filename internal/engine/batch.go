@@ -14,8 +14,7 @@ import (
 // never changes which seeds its trials see.
 type BatchOptions struct {
 	// Base is the per-run option template; Base.Seed is the master seed.
-	// Base.Concurrent is ignored: batch runs always use the sequential
-	// engine (one goroutine per shard; see sim.MultiRunner).
+	// Each trial runs on one shard goroutine (see sim.MultiRunner).
 	Base Options
 	// Trials is the number of runs.
 	Trials int
@@ -81,7 +80,6 @@ func RunMany(p Protocol, g *graph.Graph, opts BatchOptions, fold func(i int, ins
 	metrics, shards, err := mr.RunBatch(opts.Trials, func(i int) (sim.Metrics, error) {
 		o := opts.Base
 		o.Seed = sim.DeriveSeed(opts.Base.Seed, uint64(i))
-		o.Concurrent = false
 		if opts.NewFault != nil {
 			o.Fault = opts.NewFault(i)
 		}

@@ -62,7 +62,7 @@ func (nd *bfsNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 // Output is [joined(0/1), parent port (-1 root, meaningless when not
 // joined), BFS depth]. Ports instead of node ids: nodes are anonymous, so
 // resolving a port to a neighbor index is the caller's graph-side job
-// (broadcast.BFSTree does it to build TreeResult.Parent).
+// (FoldBFSTree does it to build TreeResult.Parent).
 func (nd *bfsNode) Output() []int64 {
 	joined := int64(0)
 	if nd.joined {
@@ -108,3 +108,45 @@ type bfsInstance struct {
 
 func (i *bfsInstance) Node(v int) Node { return i.nodes[v] }
 func (i *bfsInstance) Limits() Limits  { return i.lim }
+
+// TreeResult reports a BFS spanning-tree construction.
+type TreeResult struct {
+	// Parent maps node -> parent node (-1 for the root, -2 if unreached).
+	Parent []int
+	// Depth maps node -> BFS depth (root 0).
+	Depth []int
+	// Complete reports whether every node joined.
+	Complete bool
+	Metrics  sim.Metrics
+}
+
+// FoldBFSTree folds a bfstree report into a TreeResult, resolving each
+// node's parent port back to a neighbor index through g. Output rows are
+// [joined, parent_port, depth].
+func FoldBFSTree(g *graph.Graph, eres *Result) *TreeResult {
+	res := &TreeResult{
+		Parent:   make([]int, g.N()),
+		Depth:    make([]int, g.N()),
+		Complete: true,
+		Metrics:  eres.Metrics,
+	}
+	for v := 0; v < g.N(); v++ {
+		var o []int64
+		if v < len(eres.Outputs) {
+			o = eres.Outputs[v]
+		}
+		switch {
+		case len(o) < 3 || o[0] == 0:
+			res.Parent[v] = -2
+			res.Depth[v] = -1
+			res.Complete = false
+		case o[1] == -1:
+			res.Parent[v] = -1
+			res.Depth[v] = 0
+		default:
+			res.Parent[v] = g.NeighborAt(v, int(o[1]))
+			res.Depth[v] = int(o[2])
+		}
+	}
+	return res
+}

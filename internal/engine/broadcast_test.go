@@ -1,12 +1,39 @@
-package broadcast
+package engine_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 )
+
+// pushPull runs the pushpull protocol and folds its report.
+func pushPull(g *graph.Graph, source int, rumor uint64, seed int64, horizon int, pushOnly bool) (*engine.PushPullResult, error) {
+	p, err := engine.New(engine.PushPull, engine.Config{Source: source, Rumor: rumor, Horizon: horizon, PushOnly: pushOnly})
+	if err != nil {
+		return nil, err
+	}
+	res, err := engine.Run(p, g, engine.Options{Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	return engine.FoldPushPull(g.N(), res), nil
+}
+
+// bfsTree runs the bfstree protocol and folds its report.
+func bfsTree(g *graph.Graph, root int, seed int64) (*engine.TreeResult, error) {
+	p, err := engine.New(engine.BFSTree, engine.Config{Root: root})
+	if err != nil {
+		return nil, err
+	}
+	res, err := engine.Run(p, g, engine.Options{Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	return engine.FoldBFSTree(g, res), nil
+}
 
 func TestPushPullInformsAllOnClique(t *testing.T) {
 	g, err := graph.Clique(64, nil)
@@ -14,7 +41,7 @@ func TestPushPullInformsAllOnClique(t *testing.T) {
 		t.Fatal(err)
 	}
 	horizon := 8 * int(math.Ceil(math.Log2(64)))
-	res, err := PushPull(g, 0, 777, 1, horizon, false)
+	res, err := pushPull(g, 0, 777, 1, horizon, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +67,11 @@ func TestPushPullCompletionOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	horizon := 6 * n
-	re, err := PushPull(exp, 0, 5, 3, horizon, false)
+	re, err := pushPull(exp, 0, 5, 3, horizon, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := PushPull(cyc, 0, 5, 3, horizon, false)
+	rc, err := pushPull(cyc, 0, 5, 3, horizon, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +89,11 @@ func TestPushOnlySlowerOrEqualCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	horizon := 50
-	pp, err := PushPull(g, 0, 5, 9, horizon, false)
+	pp, err := pushPull(g, 0, 5, 9, horizon, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	po, err := PushPull(g, 0, 5, 9, horizon, true)
+	po, err := pushPull(g, 0, 5, 9, horizon, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +113,7 @@ func TestPushPullMessageBudgetShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	horizon := 20
-	res, err := PushPull(g, 0, 5, 5, horizon, false)
+	res, err := pushPull(g, 0, 5, 5, horizon, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +130,10 @@ func TestPushPullValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PushPull(g, -1, 5, 1, 10, false); err == nil {
-		t.Fatal("bad source should fail")
-	}
-	if _, err := PushPull(g, 0, 0, 1, 10, false); err == nil {
-		t.Fatal("zero rumor should fail")
-	}
-	if _, err := PushPull(g, 0, 5, 1, 0, false); err == nil {
-		t.Fatal("zero horizon should fail")
+	for _, source := range []int{-1, g.N()} {
+		if _, err := pushPull(g, source, 5, 1, 10, false); err == nil {
+			t.Fatalf("source %d should fail", source)
+		}
 	}
 }
 
@@ -119,7 +142,7 @@ func TestBFSTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BFSTree(g, 3, 1)
+	res, err := bfsTree(g, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +180,7 @@ func TestBFSTreeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BFSTree(g, 9, 1); err == nil {
+	if _, err := bfsTree(g, 9, 1); err == nil {
 		t.Fatal("bad root should fail")
 	}
 }

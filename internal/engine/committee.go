@@ -24,9 +24,9 @@ package engine
 // value.
 //
 // The wrapper is itself a Protocol, so the defense runs on every delivery
-// plane — in-process, concurrent, and the sharded cluster — and claims are
-// ordinary wire-registered messages (id 14), which is what keeps defended
-// cluster runs byte-identical to defended sim runs.
+// plane — in-process, in RunMany batches, and on the sharded cluster — and
+// claims are ordinary wire-registered messages (id 14), which is what
+// keeps defended cluster runs byte-identical to defended sim runs.
 
 import (
 	"encoding/binary"

@@ -81,8 +81,6 @@ type Options struct {
 	Budget int64
 	// MaxRounds overrides the instance's default round cap (0 = default).
 	MaxRounds int
-	// Concurrent selects the goroutine-per-awake-node engine.
-	Concurrent bool
 	// LeanMetrics skips per-kind message accounting on the send hot path
 	// (Metrics.ByKind stays empty; an Observer can still count kinds).
 	// Bulk experiment trials enable it.
@@ -255,7 +253,6 @@ func simConfig(g *graph.Graph, lim Limits, opts Options) (sim.Config, *SendCount
 		MaxRounds:      maxRounds,
 		MaxMessageBits: lim.MaxMessageBits,
 		MessageBudget:  opts.Budget,
-		Concurrent:     opts.Concurrent,
 		LeanMetrics:    opts.LeanMetrics,
 		DebugFrom:      opts.DebugFrom,
 		Observer:       observer,

@@ -35,7 +35,6 @@ func TestSimConfigWiresEveryOption(t *testing.T) {
 		"Seed":          int64(7),
 		"Budget":        int64(10),
 		"MaxRounds":     5,
-		"Concurrent":    true,
 		"LeanMetrics":   true,
 		"DebugFrom":     true,
 		"CountSends":    true,

@@ -180,3 +180,37 @@ type gossipInstance struct {
 
 func (i *gossipInstance) Node(v int) Node { return i.nodes[v] }
 func (i *gossipInstance) Limits() Limits  { return i.lim }
+
+// PushPullResult reports a gossip run.
+type PushPullResult struct {
+	// Informed counts nodes holding the rumor at the horizon.
+	Informed int
+	// AllInformed reports full coverage.
+	AllInformed bool
+	// CompletionRound is the round the last node learned the rumor (-1 if
+	// coverage is incomplete).
+	CompletionRound int
+	Metrics         sim.Metrics
+}
+
+// FoldPushPull folds a pushpull report — in-process or reassembled by the
+// cluster merge — into a PushPullResult. Output rows are [informed,
+// informed_at, rumor].
+func FoldPushPull(n int, eres *Result) *PushPullResult {
+	res := &PushPullResult{Metrics: eres.Metrics, CompletionRound: -1}
+	last := 0
+	for _, o := range eres.Outputs {
+		if len(o) < 2 || o[0] == 0 {
+			continue
+		}
+		res.Informed++
+		if at := int(o[1]); at > last {
+			last = at
+		}
+	}
+	res.AllInformed = res.Informed == n
+	if res.AllInformed {
+		res.CompletionRound = last
+	}
+	return res
+}

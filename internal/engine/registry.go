@@ -43,7 +43,6 @@ type Config struct {
 	Op string `json:"op,omitempty"`
 
 	// Election knobs, consumed by the backends internal/algo registers.
-	Resend     int     `json:"resend,omitempty"`
 	AssumedN   int     `json:"assumed_n,omitempty"`
 	C1         float64 `json:"c1,omitempty"`
 	C2         float64 `json:"c2,omitempty"`

@@ -6,10 +6,8 @@ import (
 	"math/rand"
 
 	"wcle/internal/baseline"
-	"wcle/internal/broadcast"
 	"wcle/internal/core"
 	"wcle/internal/engine"
-	"wcle/internal/protocol"
 	"wcle/internal/sim"
 	"wcle/internal/stats"
 )
@@ -196,16 +194,23 @@ func e7Spec() Spec {
 			}
 			// First pass finds the completion round; the second is truncated
 			// there, so its message count is the cost to full coverage.
-			bcSeed := sim.DeriveSeed(seed, 0xC)
-			probe, err := broadcast.PushPull(g, source, protocol.ID(rumor), bcSeed, 40*g.N(), false)
+			bcOpts := engine.Options{Seed: sim.DeriveSeed(seed, 0xC)}
+			pp, err := engine.New(engine.PushPull, engine.Config{Source: source, Rumor: rumor, Horizon: 40 * g.N()})
 			if err != nil {
 				return nil, err
 			}
-			horizon := probe.CompletionRound
+			probe, err := engine.Run(pp, g, bcOpts)
+			if err != nil {
+				return nil, err
+			}
+			horizon := engine.FoldPushPull(g.N(), probe).CompletionRound
 			if horizon <= 0 {
 				horizon = 40 * g.N()
 			}
-			bc, err := broadcast.PushPull(g, source, protocol.ID(rumor), bcSeed, horizon, false)
+			if pp, err = engine.New(engine.PushPull, engine.Config{Source: source, Rumor: rumor, Horizon: horizon}); err != nil {
+				return nil, err
+			}
+			bc, err := engine.Run(pp, g, bcOpts)
 			if err != nil {
 				return nil, err
 			}

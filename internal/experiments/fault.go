@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"wcle/internal/algo"
@@ -15,26 +14,24 @@ import (
 // algorithm's resilience when the clean synchronous model of Theorem 13 is
 // violated (lossy, delayed, or crash-prone delivery — the regimes of
 // Kutten et al.'s sublinear-election line of work), and E16 benchmarks the
-// sharded MultiRunner bulk-election path against the engine's
-// goroutine-per-node concurrency.
+// sharded MultiRunner bulk-election path against the same elections run
+// one after another.
 
 // e15Faults enumerates the fault scenarios, in render order. Each builds a
 // fresh fault plane per trial (planes are stateful per run). Crashes
 // happen at round 1: the crashed fraction is dead from the start, so the
 // survivors must elect among themselves.
 var e15Faults = []struct {
-	name   string
-	resend int
-	mk     func() sim.FaultPlane
+	name string
+	mk   func() sim.FaultPlane
 }{
-	{"perfect", 0, func() sim.FaultPlane { return nil }},
-	{"drop-1%", 0, func() sim.FaultPlane { return &sim.Drop{P: 0.01} }},
-	{"drop-5%", 0, func() sim.FaultPlane { return &sim.Drop{P: 0.05} }},
-	{"drop-10%", 0, func() sim.FaultPlane { return &sim.Drop{P: 0.10} }},
-	{"drop-10%+resend2", 2, func() sim.FaultPlane { return &sim.Drop{P: 0.10} }},
-	{"delay-3", 0, func() sim.FaultPlane { return &sim.Delay{Max: 3} }},
-	{"crash-10%", 0, func() sim.FaultPlane { return &sim.CrashSample{Frac: 0.10, Round: 1} }},
-	{"crash-25%", 0, func() sim.FaultPlane { return &sim.CrashSample{Frac: 0.25, Round: 1} }},
+	{"perfect", func() sim.FaultPlane { return nil }},
+	{"drop-1%", func() sim.FaultPlane { return &sim.Drop{P: 0.01} }},
+	{"drop-5%", func() sim.FaultPlane { return &sim.Drop{P: 0.05} }},
+	{"drop-10%", func() sim.FaultPlane { return &sim.Drop{P: 0.10} }},
+	{"delay-3", func() sim.FaultPlane { return &sim.Delay{Max: 3} }},
+	{"crash-10%", func() sim.FaultPlane { return &sim.CrashSample{Frac: 0.10, Round: 1} }},
+	{"crash-25%", func() sim.FaultPlane { return &sim.CrashSample{Frac: 0.25, Round: 1} }},
 }
 
 // e15N returns the network size of the resilience sweep for a regime.
@@ -82,18 +79,16 @@ func e15Spec() Spec {
 				return nil, err
 			}
 			var fault func() sim.FaultPlane
-			resend := 0
-			found := false
 			for _, f := range e15Faults {
 				if f.name == pt.Label {
-					fault, resend, found = f.mk, f.resend, true
+					fault = f.mk
 					break
 				}
 			}
-			if !found {
+			if fault == nil {
 				return nil, fmt.Errorf("experiments: unknown fault scenario %q", pt.Label)
 			}
-			p, err := algo.New(algo.GilbertRS18, engine.Config{Resend: resend})
+			p, err := algo.New(algo.GilbertRS18, engine.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -133,7 +128,7 @@ func renderE15(cfg SuiteConfig, data []PointData) (*Table, error) {
 			f1(pd.Mean("fault_drops"))+" / "+f1(pd.Mean("delayed")))
 	}
 	t.AddNote("The paper's guarantees assume perfect synchronous delivery; this sweep measures degradation outside that model. In every scenario we measured, safety held (multi = 0): losing or delaying winner/FINAL floods suppresses elections rather than doubling them (not a theorem — a second leader needs a stopped contender that missed both the max id and the winner flood — but the measured rate is zero). Liveness is what degrades: drops lose walk tokens and X1 deltas, which are additive state, so the distinctness/intersection thresholds go unmet and the zero-leader rate climbs with the drop rate.")
-	t.AddNote("resend2 retransmits each idempotent control message twice (core.Config.Resend). It protects the control plane (id floods, FINAL, winner) but cannot restore the additive plane — duplicating a token batch or an X1 delta would corrupt counts, so they go out once — and the liveness loss at heavy drop rates persists at ~3x the message cost: the honest conclusion is that drop-resilience needs acknowledgments, not blind redundancy. Delay keeps every message (reordering only); the staged schedule absorbs almost all of it, with the rare failure being a walk token arriving after its phase's decision round (a stale drop). Crashes happen at round 1; the survivors keep n set to the original size, so thresholds are conservatively high (a crash-robust n-estimate is the open problem the paper leaves).")
+	t.AddNote("Blind retransmission of the idempotent control messages was measured here and retired: it cannot restore the additive plane (duplicating a token batch or an X1 delta would corrupt counts), and at drop-10%% it elected fewer leaders than no retransmission at ~3.5x the messages. Drop-resilience needs acknowledgments, not blind redundancy. Delay keeps every message (reordering only); the staged schedule absorbs almost all of it, with the rare failure being a walk token arriving after its phase's decision round (a stale drop). Crashes happen at round 1; the survivors keep n set to the original size, so thresholds are conservatively high (a crash-robust n-estimate is the open problem the paper leaves).")
 	return t, nil
 }
 
@@ -149,10 +144,9 @@ func e16Sizes(cfg SuiteConfig) []int {
 // e16Elections is the per-point batch size.
 const e16Elections = 12
 
-// e16Spec measures bulk-election throughput: the sharded MultiRunner
-// (sequential engine per election, one goroutine per shard) against the
-// engine's goroutine-per-awake-node mode with all elections in flight —
-// the only concurrent bulk path that existed before the MultiRunner.
+// e16Spec measures bulk-election throughput: the sharded MultiRunner (one
+// sequential engine per election, one goroutine per shard) against the
+// same elections run one after another on one goroutine.
 //
 // E16 reports wall-clock throughput, so its metrics are the one deliberate
 // exception to the suite's byte-identical determinism contract (DESIGN.md
@@ -161,10 +155,10 @@ func e16Spec() Spec {
 	return Spec{
 		ID:    "E16",
 		Name:  "throughput",
-		Title: "Bulk-election throughput: sharded MultiRunner vs goroutine-per-node concurrency (rr8)",
+		Title: "Bulk-election throughput: sharded MultiRunner vs one election at a time (rr8)",
 		Claim: "Engine scalability (ROADMAP hardware-speed goal); no paper claim",
-		Preamble: "An engine benchmark, not a paper claim: bulk independent elections sharded across a worker pool (one sequential engine per shard) versus the goroutine-per-awake-node mode with every election in flight. " +
-			"Expected shape: the sharded path wins by avoiding per-round spawn-and-barrier overhead; the measured speedup is hardware-dependent (wall-clock — the suite's one exception to byte-identical determinism).",
+		Preamble: "An engine benchmark, not a paper claim: bulk independent elections sharded across a worker pool (one sequential engine per shard) versus the same elections run one after another. " +
+			"Expected shape: the sharded path scales with the cores the harness leaves it; the measured speedup is hardware-dependent (wall-clock — the suite's one exception to byte-identical determinism).",
 		FullTrials:  2,
 		QuickTrials: 1,
 		Points: func(cfg SuiteConfig) []Point {
@@ -194,49 +188,35 @@ func e16Spec() Spec {
 				return nil, err
 			}
 
-			// Per-node-goroutine mode: the same elections, every one on the
-			// concurrent engine, all in flight at once.
-			var (
-				wg       sync.WaitGroup
-				mu       sync.Mutex
-				firstErr error
-				one      int
-			)
+			// Sequential: the same elections, one after another.
+			var one int
+			var msgs int64
 			start := time.Now()
 			for i := 0; i < e16Elections; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					res, err := core.Run(g, core.DefaultConfig(), engine.Options{
-						Seed:        sim.DeriveSeed(master, uint64(i)),
-						Concurrent:  true,
-						LeanMetrics: true,
-					})
-					mu.Lock()
-					defer mu.Unlock()
-					if err != nil && firstErr == nil {
-						firstErr = err
-					}
-					if err == nil && len(res.Leaders) == 1 {
-						one++
-					}
-				}(i)
+				res, err := core.Run(g, core.DefaultConfig(), engine.Options{
+					Seed:        sim.DeriveSeed(master, uint64(i)),
+					LeanMetrics: true,
+				})
+				if err != nil {
+					return nil, err
+				}
+				if len(res.Leaders) == 1 {
+					one++
+				}
+				msgs += res.Metrics.Messages
 			}
-			wg.Wait()
-			perNode := time.Since(start)
-			if firstErr != nil {
-				return nil, firstErr
+			sequential := time.Since(start)
+			if one != batch.One || msgs != batch.Messages {
+				return nil, fmt.Errorf("experiments: sharded and sequential runs disagree: %d vs %d unique-leader runs, %d vs %d messages",
+					batch.One, one, batch.Messages, msgs)
 			}
-			if one != batch.One {
-				return nil, fmt.Errorf("experiments: engine modes disagree: %d vs %d unique-leader runs", batch.One, one)
-			}
-			perNodeEPS := float64(e16Elections) / perNode.Seconds()
+			seqEPS := float64(e16Elections) / sequential.Seconds()
 			return Metrics{
-				"elections":   e16Elections,
-				"eps_sharded": batch.RunsPerSec,
-				"eps_pernode": perNodeEPS,
-				"speedup":     batch.RunsPerSec / perNodeEPS,
-				"msgs":        float64(batch.Messages) / e16Elections,
+				"elections":      e16Elections,
+				"eps_sharded":    batch.RunsPerSec,
+				"eps_sequential": seqEPS,
+				"speedup":        batch.RunsPerSec / seqEPS,
+				"msgs":           float64(batch.Messages) / e16Elections,
 			}, nil
 		},
 		Render: renderE16,
@@ -246,14 +226,14 @@ func e16Spec() Spec {
 func renderE16(cfg SuiteConfig, data []PointData) (*Table, error) {
 	t := &Table{
 		ID:      "E16",
-		Title:   "Bulk-election throughput: sharded MultiRunner vs goroutine-per-node concurrency (rr8)",
-		Columns: []string{"n", "elections/point", "sharded elect/s", "per-node-goroutine elect/s", "speedup", "mean msgs"},
+		Title:   "Bulk-election throughput: sharded MultiRunner vs one election at a time (rr8)",
+		Columns: []string{"n", "elections/point", "sharded elect/s", "sequential elect/s", "speedup", "mean msgs"},
 	}
 	for _, pd := range data {
 		t.AddRow(d(pd.Point.N), d(int(pd.First("elections"))),
-			f2(pd.Median("eps_sharded")), f2(pd.Median("eps_pernode")),
+			f2(pd.Median("eps_sharded")), f2(pd.Median("eps_sequential")),
 			f2(pd.Median("speedup"))+"x", f1(pd.Mean("msgs")))
 	}
-	t.AddNote("Both modes run identical elections (the trial cross-checks their unique-leader counts). The per-node-goroutine mode spawns one goroutine per awake node per busy round — pure scheduling overhead for independent bulk trials; the MultiRunner runs one sequential-engine election per shard slot instead. Wall-clock metrics are the suite's one exception to the byte-identical determinism contract (DESIGN.md 3.3).")
+	t.AddNote("Both paths run identical elections (the trial cross-checks their unique-leader and message counts). The MultiRunner runs one sequential-engine election per shard slot, so its speedup over one election at a time is bounded by the cores the harness's own workers leave free. Wall-clock metrics are the suite's one exception to the byte-identical determinism contract (DESIGN.md 3.3).")
 	return t, nil
 }

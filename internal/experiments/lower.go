@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"wcle/internal/broadcast"
 	"wcle/internal/core"
 	"wcle/internal/engine"
 	"wcle/internal/graph"
@@ -249,10 +248,15 @@ func e11Spec() Spec {
 			if err != nil {
 				return nil, err
 			}
-			tree, err := broadcast.BFSTree(lb.Graph, 0, sim.DeriveSeed(seed, 0xB))
+			bfs, err := engine.New(engine.BFSTree, engine.Config{Root: 0})
 			if err != nil {
 				return nil, err
 			}
+			treeRes, err := engine.Run(bfs, lb.Graph, engine.Options{Seed: sim.DeriveSeed(seed, 0xB)})
+			if err != nil {
+				return nil, err
+			}
+			tree := engine.FoldBFSTree(lb.Graph, treeRes)
 			if !tree.Complete {
 				return nil, fmt.Errorf("experiments: BFS tree incomplete on lower-bound graph")
 			}
@@ -260,10 +264,15 @@ func e11Spec() Spec {
 			// by log(n)/phi with the clique-cut conductance as phi.
 			phi := 4.0 / float64(lb.CliqueSize*(lb.CliqueSize-1))
 			horizon := int(6 * math.Log(float64(lb.N())) / phi)
-			pp, err := broadcast.PushPull(lb.Graph, 0, 99, sim.DeriveSeed(seed, 0xC), horizon, false)
+			gossip, err := engine.New(engine.PushPull, engine.Config{Source: 0, Rumor: 99, Horizon: horizon})
 			if err != nil {
 				return nil, err
 			}
+			ppRes, err := engine.Run(gossip, lb.Graph, engine.Options{Seed: sim.DeriveSeed(seed, 0xC)})
+			if err != nil {
+				return nil, err
+			}
+			pp := engine.FoldPushPull(lb.Graph.N(), ppRes)
 			ppRounds := pp.CompletionRound
 			if ppRounds < 0 {
 				ppRounds = horizon

@@ -23,7 +23,7 @@ func e22Spec() Spec {
 		Name:  "protocol-registry",
 		Title: "Protocol registry: every registered protocol through the generic engine (rr8)",
 		Claim: "Engine determinism contract (DESIGN.md): same seed => identical outputs and per-node send counts for any registered protocol",
-		Preamble: "Every registered protocol — the election backends and the dissemination substrates promoted from internal/broadcast — runs through the one generic engine.Run path here, with default configuration on a degree-8 random regular graph. " +
+		Preamble: "Every registered protocol — the election backends and the dissemination substrates (push-pull, BFS tree, aggregation) — runs through the one generic engine.Run path here, with default configuration on a degree-8 random regular graph. " +
 			"Each trial replays itself at the same seed and checks the determinism contract (identical output matrices and per-node send counts); the replay column must be identically 1. " +
 			"The cost columns portray how differently shaped the protocols are under the same CONGEST accounting: flooding pays Theta(m) per round, gossip pays Theta(n), the walk-based election pays for its token walks.",
 		FullTrials:  5,

@@ -70,13 +70,6 @@ type rec struct {
 	ids  uint8  // noIDs, oneID or bufIDs
 }
 
-// resendRec is one retransmission obligation: the transmitted record,
-// rebuilt on every resend, and the number of repeats still owed.
-type resendRec struct {
-	rec
-	left int
-}
-
 // ring is a FIFO on a power-of-two circular buffer. A standing backlog
 // reuses the slots it frees, and the buffer doubles only when full, so its
 // size stays within twice the peak backlog (and at least 4).
@@ -124,8 +117,6 @@ type portQ struct {
 	// Downcasts need no per-edge filter: the tree sends each id to each
 	// child port once per phase.
 	downs [][3]qpos
-	// resend is the retransmission FIFO (only used when Outbox.Resend > 0).
-	resend ring[resendRec]
 }
 
 // open returns the record qp names while it is still queued, else nil.
@@ -153,11 +144,10 @@ type Outbox struct {
 	origins []ID        // indexed by Handle
 	ups     [][3]upSlot // indexed by Handle, then UpStage-1
 	pending int
-	resends int
 
 	// bufs hold the ids of fragments with more than one (only modes above
-	// the CONGEST cap have them) while they are queued or owed a resend;
-	// free lists the unused ones.
+	// the CONGEST cap have them) while they are queued; free lists the
+	// unused ones.
 	bufs [][]ID
 	free []int
 
@@ -169,16 +159,6 @@ type Outbox struct {
 	// Pool, when non-nil, supplies recycled message objects for the send
 	// path (see MsgPool).
 	Pool *MsgPool
-
-	// Resend, when positive, retransmits each idempotent message up to
-	// Resend extra times on its port, after all fresh traffic — redundancy
-	// against lossy transports (a Drop fault plane). Only messages whose
-	// duplication is harmless are repeated: downcasts (id-set floods and
-	// the FINAL/winner latches) and delta-free convergecast fragments.
-	// Token batches and delta-carrying fragments are additive, not
-	// idempotent, and are never duplicated. Each retransmission is a real
-	// send under the CONGEST discipline and is counted as such.
-	Resend int
 }
 
 // NewOutbox returns an outbox for a node with the given degree.
@@ -193,9 +173,8 @@ func (ob *Outbox) NewHandle(origin ID) Handle {
 	return Handle(len(ob.origins) - 1)
 }
 
-// Pending returns the number of queued, unsent messages across all ports,
-// including pending retransmissions.
-func (ob *Outbox) Pending() int { return ob.pending + ob.resends }
+// Pending returns the number of queued, unsent messages across all ports.
+func (ob *Outbox) Pending() int { return ob.pending }
 
 // queue appends r to the port's FIFO and returns its position and the
 // queued copy, which stays valid until the next push on the port.
@@ -340,13 +319,6 @@ func (ob *Outbox) appendIDs(dst []ID, r *rec) []ID {
 	return dst
 }
 
-// resendable reports whether duplicating a record's message is harmless:
-// id floods and latches are set operations at every receiver, while token
-// counts and X1 deltas are additive.
-func (r *rec) resendable() bool {
-	return r.kind == recDown || r.kind == recUp && r.a == 0 && r.b == 0
-}
-
 // build draws a message object from the pool and fills it from r, stamping
 // the winner id.
 func (ob *Outbox) build(r *rec, win ID) sim.Message {
@@ -374,41 +346,23 @@ func (ob *Outbox) build(r *rec, win ID) sim.Message {
 
 // Flush transmits at most one queued message per port (the CONGEST limit),
 // stamping the current winner id on each outgoing message (the paper's
-// "appends it to all future messages"). Fresh traffic is sent first; when a
-// port has none and Resend is configured, one owed retransmission goes out
-// instead. It returns the first send error.
+// "appends it to all future messages"). It returns the first send error.
 func (ob *Outbox) Flush(ctx *sim.Context, win ID) error {
 	for port := range ob.ports {
 		pq := &ob.ports[port]
-		var msg sim.Message
-		switch {
-		case pq.q.n > 0:
-			r := pq.q.pop()
-			pq.sent++
-			ob.pending--
-			msg = ob.build(&r, win)
-			if r.kind == recToken {
-				// A batch is in tokens from its push until now: later
-				// pushes of its key merge into it while it is queued.
-				delete(pq.tokens, tokenKey{h: r.h, phase: r.phase, remaining: r.a})
-			}
-			if ob.Resend > 0 && r.resendable() {
-				pq.resend.push(resendRec{rec: r, left: ob.Resend})
-				ob.resends += ob.Resend
-			} else {
-				ob.release(&r)
-			}
-		case pq.resend.n > 0:
-			rr := pq.resend.at(0)
-			msg = ob.build(&rr.rec, win)
-			ob.resends--
-			if rr.left--; rr.left == 0 {
-				ob.release(&rr.rec)
-				pq.resend.pop()
-			}
-		default:
+		if pq.q.n == 0 {
 			continue
 		}
+		r := pq.q.pop()
+		pq.sent++
+		ob.pending--
+		msg := ob.build(&r, win)
+		if r.kind == recToken {
+			// A batch is in tokens from its push until now: later pushes
+			// of its key merge into it while it is queued.
+			delete(pq.tokens, tokenKey{h: r.h, phase: r.phase, remaining: r.a})
+		}
+		ob.release(&r)
 		if err := ctx.Send(port, msg); err != nil {
 			return err
 		}

@@ -2,11 +2,14 @@ package protocol
 
 // MsgPool recycles protocol message objects. An outbox builds one message
 // object per send, at flush time, and the object lives for one round: the
-// receiving node returns it (and its IDs backing array) to its own pool
-// after handling it, and its outbox draws from that pool for its next
-// flushes. Pools are strictly per-node: only the owning node's Step touches
-// one, so the concurrent execution mode needs no locking. Object identity
-// never carries protocol meaning, so pooling cannot change a run's behavior.
+// receiving node returns it (and its IDs backing array) to the pool after
+// handling it, and the next flush draws it again. One pool serves all the
+// nodes of one election: the simulator steps an election's nodes one at a
+// time on one goroutine, so the pool needs no locking, and a receiver's
+// returns feed every sender instead of piling up in its own pool while
+// the senders allocate. A pool must never be shared across elections that
+// run concurrently. Object identity never carries protocol meaning, so
+// pooling cannot change a run's behavior.
 //
 // Callers must only Put messages they have fully consumed: a pooled
 // message's fields and IDs array are overwritten on reuse.

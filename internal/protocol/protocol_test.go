@@ -671,20 +671,17 @@ func TestOutboxQueuesValues(t *testing.T) {
 // The queued records hold no pointer, slice, map, string or interface, so
 // a standing backlog is invisible to the garbage collector's marking.
 func TestOutboxRecordsHoldNoPointers(t *testing.T) {
-	pq := reflect.TypeOf(portQ{})
-	for _, ring := range []string{"q", "resend"} {
-		f, ok := pq.FieldByName(ring)
-		if !ok {
-			t.Fatalf("portQ has no field %q", ring)
-		}
-		buf, ok := f.Type.FieldByName("buf")
-		if !ok {
-			t.Fatalf("portQ.%s has no buf", ring)
-		}
-		elem := buf.Type.Elem()
-		if path, ok := pointerFree(elem, elem.Name()); !ok {
-			t.Fatalf("portQ.%s queues %s, which holds a pointer at %s", ring, elem, path)
-		}
+	f, ok := reflect.TypeOf(portQ{}).FieldByName("q")
+	if !ok {
+		t.Fatal("portQ has no field q")
+	}
+	buf, ok := f.Type.FieldByName("buf")
+	if !ok {
+		t.Fatal("portQ.q has no buf")
+	}
+	elem := buf.Type.Elem()
+	if path, ok := pointerFree(elem, elem.Name()); !ok {
+		t.Fatalf("portQ.q queues %s, which holds a pointer at %s", elem, path)
 	}
 	// Record width is what a backlog costs in bytes; an exact layout takes
 	// four words of values plus the handle and three tags.

@@ -104,7 +104,7 @@ func TestClusterModeFaultsMatchInProcess(t *testing.T) {
 	}
 
 	req := serve.SubmitRequest{Seed: 7, Points: []serve.PointSpec{
-		{Graph: "g", Trials: 2, Resend: 2, Fault: serve.FaultSpec{Drop: 0.05, DelayMax: 2}},
+		{Graph: "g", Trials: 2, Fault: serve.FaultSpec{Drop: 0.05, DelayMax: 2}},
 		{Graph: "g", Trials: 2, Algorithm: "kpprt", Fault: serve.FaultSpec{CrashFrac: 0.2, CrashRound: 2}},
 	}}
 	want := runJob(t, inproc, req)

@@ -16,8 +16,8 @@
 //     predict a run's cost before paying for it.
 //
 //   - Scheduler: bounded-queue batch submission. POST /v1/elections
-//     enqueues a job of points (graph x trials x algorithm x fault plane
-//     x resend); each point runs as one algo.RunMany batch of its chosen
+//     enqueues a job of points (graph x trials x algorithm x fault
+//     plane); each point runs as one algo.RunMany batch of its chosen
 //     backend across the MultiRunner worker pool with seeds derived from
 //     the job's master seed via the sim.SeedForKey contract, so a job's
 //     "result" object is a deterministic, byte-identical function of

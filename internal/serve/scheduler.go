@@ -42,7 +42,7 @@ var (
 type ClusterElector interface {
 	// RunElection also reports the election's wire traffic, which the
 	// metrics layer accumulates into the electd_cluster_* counters.
-	RunElection(spec GraphSpec, algorithm string, seed int64, resend, assumedN int, fault FaultSpec) (*algo.Outcome, ClusterWire, error)
+	RunElection(spec GraphSpec, algorithm string, seed int64, assumedN int, fault FaultSpec) (*algo.Outcome, ClusterWire, error)
 }
 
 // ClusterWire is one cluster election's wire-traffic accounting, as
@@ -363,7 +363,7 @@ func (s *Scheduler) runPoints(req SubmitRequest) (*JobResult, error) {
 			out.Points = append(out.Points, pr)
 			continue
 		}
-		backend, err := algo.New(algName, engine.Config{Resend: p.Resend, AssumedN: p.AssumedN})
+		backend, err := algo.New(algName, engine.Config{AssumedN: p.AssumedN})
 		if err != nil {
 			// Validated at submission; the registry never unregisters.
 			return nil, fmt.Errorf("serve: point %d: %w", i, err)
@@ -431,7 +431,7 @@ func (s *Scheduler) runPointCluster(i int, p PointSpec, algName string, baseSeed
 	msgs := make([]int64, p.Trials)
 	contenders := make([]int32, p.Trials)
 	for t := 0; t < p.Trials; t++ {
-		out, cw, err := s.cluster.RunElection(reg.Spec, algName, sim.DeriveSeed(baseSeed, uint64(t)), p.Resend, p.AssumedN, p.Fault)
+		out, cw, err := s.cluster.RunElection(reg.Spec, algName, sim.DeriveSeed(baseSeed, uint64(t)), p.AssumedN, p.Fault)
 		if err != nil {
 			return pr, fmt.Errorf("serve: point %d trial %d on the cluster: %w", i, t, err)
 		}

@@ -86,3 +86,25 @@ func TestFaultSpecValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPointKeyPinned pins PointSpec.Key, the seed-derivation key of every
+// electd point, to literal strings: a changed key would silently move the
+// seeds of every request that replays it.
+func TestPointKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		p    PointSpec
+		want string
+	}{
+		{PointSpec{Graph: "rr64", Trials: 10}, "rr64|t10|r0|a0|f0:0:0:0"},
+		{PointSpec{Graph: "k16", Trials: 3, Algorithm: "kpprt", Fault: FaultSpec{Drop: 0.05, DelayMax: 2}},
+			"k16|t3|r0|a0|f0.05:2:0:0|kpprt"},
+		{PointSpec{Graph: "rr64", Trials: 4, AssumedN: 32, Fault: FaultSpec{Byz: 0.15, CrashFrac: 0.1, CrashRound: 2}},
+			"rr64|t4|r0|a32|f0:0:0.1:2|b0.15:[]"},
+		{PointSpec{Graph: "rr64", Trials: 4, Fault: FaultSpec{ByzNodes: []int{1, 9}}},
+			"rr64|t4|r0|a0|f0:0:0:0|b0:[1 9]"},
+	} {
+		if got := c.p.Key(); got != c.want {
+			t.Errorf("Key() = %q, want %q", got, c.want)
+		}
+	}
+}

@@ -208,7 +208,7 @@ func TestEndToEndElection(t *testing.T) {
 func TestDeterministicResults(t *testing.T) {
 	req := SubmitRequest{Seed: 42, Points: []PointSpec{
 		{Graph: "k16", Trials: 4},
-		{Graph: "k16", Trials: 3, Resend: 1, Fault: FaultSpec{Drop: 0.05}},
+		{Graph: "k16", Trials: 3, Fault: FaultSpec{Drop: 0.05}},
 	}}
 	results := make([][]byte, 2)
 	for i := range results {
@@ -386,6 +386,8 @@ func TestValidationErrors(t *testing.T) {
 		{`{"seed":1,"points":[{"graph":"k8","trials":0}]}`, http.StatusBadRequest},
 		{`{"seed":1,"points":[{"graph":"k8","trials":1,"fault":{"drop":1.5}}]}`, http.StatusBadRequest},
 		{`{"seed":1,"bogus_field":true}`, http.StatusBadRequest},
+		// The retired retransmission knob is an unknown field now.
+		{`{"seed":1,"points":[{"graph":"k8","trials":1,"resend":2}]}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
 	}
 	for _, c := range cases {

@@ -227,9 +227,6 @@ type PointSpec struct {
 	// (gilbertrs18, floodmax, kpprt, ...). Empty means the default
 	// (gilbertrs18); validated at submission.
 	Algorithm string `json:"algorithm,omitempty"`
-	// Resend retransmits idempotent protocol messages (core.Config.Resend;
-	// gilbertrs18 only, other backends ignore it).
-	Resend int `json:"resend,omitempty"`
 	// AssumedN overrides every node's belief of n (the Section 5 knob;
 	// gilbertrs18 only).
 	AssumedN int `json:"assumed_n,omitempty"`
@@ -242,10 +239,11 @@ type PointSpec struct {
 // the request and whatever the worker count. The algorithm name enters
 // the key only when it differs from the default, so requests predating
 // the backend registry (and requests naming the default explicitly)
-// replay the exact seeds they always had.
+// replay the exact seeds they always had. The literal r0 stands where a
+// retired retransmission count sat, so every request keeps its seeds.
 func (p PointSpec) Key() string {
-	key := fmt.Sprintf("%s|t%d|r%d|a%d|f%.6g:%d:%.6g:%d",
-		p.Graph, p.Trials, p.Resend, p.AssumedN,
+	key := fmt.Sprintf("%s|t%d|r0|a%d|f%.6g:%d:%.6g:%d",
+		p.Graph, p.Trials, p.AssumedN,
 		p.Fault.Drop, p.Fault.DelayMax, p.Fault.CrashFrac, p.Fault.CrashRound)
 	if alg := algo.Resolve(p.Algorithm); alg != algo.DefaultName {
 		key += "|" + alg
@@ -288,7 +286,7 @@ func (r SubmitRequest) Validate(reg *Registry) error {
 		if p.Algorithm != "" && !algo.Known(p.Algorithm) {
 			return fmt.Errorf("serve: point %d: unknown algorithm %q (known: %v)", i, p.Algorithm, algo.Names())
 		}
-		if p.Resend < 0 || p.AssumedN < 0 {
+		if p.AssumedN < 0 {
 			return fmt.Errorf("serve: point %d: negative knob", i)
 		}
 		if err := p.Fault.Validate(); err != nil {

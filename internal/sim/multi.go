@@ -7,10 +7,10 @@ import (
 )
 
 // This file is the sharded bulk-execution layer: many *independent*
-// simulations spread across a small worker pool, each run on the
-// sequential engine. For bulk workloads (experiment trials, Monte Carlo
-// sweeps) this replaces the goroutine-per-awake-node mode, whose per-round
-// spawn-and-barrier overhead is pure cost when whole runs are independent.
+// simulations spread across a small worker pool, each run stepping its
+// nodes on its shard's goroutine. Bulk workloads (experiment trials, Monte
+// Carlo sweeps) get their parallelism here, from whole runs side by side,
+// and never from stepping one run's nodes in parallel.
 
 // ShardStats aggregates the runs one shard (worker) executed.
 type ShardStats struct {

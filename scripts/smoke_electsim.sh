@@ -7,7 +7,9 @@
 # Byzantine plane (-byz 0.15). Any non-zero exit fails the smoke, and so
 # does a Byzantine run whose metrics line and faults: line disagree on the
 # lost or mutated count (the first comes from the run's metrics, the second
-# from the fault events it reported). Needs only bash, sed and tr.
+# from the fault events it reported). Last, an -n far beyond the graph
+# cap must fail fast with a range error and exit status 1. Needs only
+# bash, sed, tr, grep and timeout.
 set -euo pipefail
 
 workdir="$(mktemp -d)"
@@ -56,4 +58,15 @@ run -graph rr -n 64 -seed 3 -phases
 run -graph rr -n 64 -seed 3 -protocol bfstree
 run_faults -graph rr -n 64 -seed 3 -byz 0.15
 run_faults -graph rr -n 64 -seed 3 -algo floodmax -byz 0.15
+
+# -n is bounded before the hypercube rounding, whose loop would never end
+# at this size; timeout's 124 would mean it hung.
+echo "smoke: electsim -graph hypercube -n 9223372036854775807 (must fail)"
+status=0
+timeout 10 "$bin" -graph hypercube -n 9223372036854775807 2> "$workdir/range.err" || status=$?
+cat "$workdir/range.err"
+if [ "$status" -ne 1 ] || ! grep -q "out of range" "$workdir/range.err"; then
+  echo "smoke: FAIL: electsim with a huge -n exited $status, want 1 with a range error" >&2
+  exit 1
+fi
 echo "smoke: OK"

@@ -1,11 +1,11 @@
 package wcle
 
 import (
+	"fmt"
 	"math/rand"
 
 	"wcle/internal/algo"
 	"wcle/internal/baseline"
-	"wcle/internal/broadcast"
 	"wcle/internal/cluster"
 	"wcle/internal/core"
 	"wcle/internal/engine"
@@ -40,9 +40,9 @@ type (
 	// Table is one experiment's rendered output.
 	Table = experiments.Table
 	// BroadcastResult reports a push-pull run.
-	BroadcastResult = broadcast.Result
+	BroadcastResult = engine.PushPullResult
 	// TreeResult reports a BFS spanning-tree construction.
-	TreeResult = broadcast.TreeResult
+	TreeResult = engine.TreeResult
 	// FloodMaxResult reports the Omega(m)-class baseline.
 	FloodMaxResult = baseline.FloodMaxResult
 
@@ -291,20 +291,38 @@ type PushPullOptions struct {
 // the "pushpull" registered protocol under a domain-shaped signature;
 // Run(engine's "pushpull", ...) exposes the raw per-node report.
 func PushPull(g *Graph, opts PushPullOptions) (*BroadcastResult, error) {
-	rumor := opts.Rumor
-	if rumor == 0 {
-		rumor = 1
+	if opts.Horizon < 0 {
+		// The protocol reads any horizon below 1 as its default; a
+		// negative one is a caller's mistake, not a request for n rounds.
+		return nil, fmt.Errorf("wcle: push-pull horizon must not be negative, got %d", opts.Horizon)
 	}
-	horizon := opts.Horizon
-	if horizon == 0 {
-		horizon = g.N()
+	p, err := engine.New(engine.PushPull, engine.Config{
+		Source:   opts.Source,
+		Rumor:    uint64(opts.Rumor),
+		Horizon:  opts.Horizon,
+		PushOnly: opts.PushOnly,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return broadcast.PushPull(g, opts.Source, rumor, opts.Seed, horizon, opts.PushOnly)
+	res, err := engine.Run(p, g, engine.Options{Seed: opts.Seed})
+	if err != nil {
+		return nil, err
+	}
+	return engine.FoldPushPull(g.N(), res), nil
 }
 
 // BFSTree builds a BFS spanning tree by flooding (Theta(m) messages).
 func BFSTree(g *Graph, root int, seed int64) (*TreeResult, error) {
-	return broadcast.BFSTree(g, root, seed)
+	p, err := engine.New(engine.BFSTree, engine.Config{Root: root})
+	if err != nil {
+		return nil, err
+	}
+	res, err := engine.Run(p, g, engine.Options{Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	return engine.FoldBFSTree(g, res), nil
 }
 
 // MixingTime returns the exact lazy-walk mixing time at the paper's

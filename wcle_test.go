@@ -124,6 +124,17 @@ func TestPublicBaselines(t *testing.T) {
 	if err != nil || !pp.AllInformed {
 		t.Fatalf("push-pull: %v, informed=%d", err, pp.Informed)
 	}
+	// A negative horizon is an error, not the protocol's n-round default;
+	// bad sources and roots are refused too.
+	if _, err := wcle.PushPull(g, wcle.PushPullOptions{Horizon: -1}); err == nil {
+		t.Fatal("negative push-pull horizon should fail")
+	}
+	if _, err := wcle.PushPull(g, wcle.PushPullOptions{Source: g.N()}); err == nil {
+		t.Fatal("push-pull source out of range should fail")
+	}
+	if _, err := wcle.BFSTree(g, -1, 1); err == nil {
+		t.Fatal("bfs tree root out of range should fail")
+	}
 }
 
 // TestPublicRun: the protocol-generic entry point runs elections and
