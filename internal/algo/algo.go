@@ -8,7 +8,6 @@ import (
 )
 
 // Outcome is the backend-independent summary every algorithm reports.
-// Backend-specific detail rides along in Detail.
 type Outcome struct {
 	// Algorithm is the registry name of the backend that produced this.
 	Algorithm string
@@ -31,16 +30,13 @@ type Outcome struct {
 	Rounds int
 	// Metrics is the sim-level cost accounting of the run.
 	Metrics sim.Metrics
-	// Detail is the backend's native result (*core.Result,
-	// *baseline.FloodMaxResult, *SublinearResult), for callers that want
-	// more than the common summary.
-	Detail interface{}
 }
 
-// ElectionProtocol is an engine.Protocol that can fold a finished run into
-// an election Outcome. Finish receives the same instance Init produced
-// (type-assert it to reach backend-native state), the engine-level result
-// of the run, and the options it ran under.
+// ElectionProtocol is an engine.Protocol whose finished runs fold into an
+// election Outcome. Finish reads only the engine's report of the run: the
+// whole output matrix (one row per node, labeled by Slots) and the run's
+// accounting. The in-process run and the cluster's merge of its shards'
+// rows therefore call the same fold on the same matrix.
 //
 // Implementations must be pure functions of (graph, options): all
 // randomness flows from engine.Options.Seed through the per-node sim
@@ -49,25 +45,49 @@ type Outcome struct {
 // lives in the instance Init returns.
 type ElectionProtocol interface {
 	engine.Protocol
-	Finish(inst engine.Instance, res *engine.Result, opts engine.Options) (*Outcome, error)
+	Finish(res *engine.Result) (*Outcome, error)
 }
 
-// Run executes one election of p on g: Init, the generic engine run, and
+// Run executes one election of p on g: the generic engine run, then
 // Finish. It returns the Outcome together with the engine-level report;
 // set opts.CountSends for its per-node send counts, the currency of the
 // cluster's keystone invariant.
 func Run(p ElectionProtocol, g *graph.Graph, opts engine.Options) (*Outcome, *engine.Result, error) {
-	inst, err := p.Init(g)
+	res, err := engine.Run(p, g, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := engine.RunInstance(p, g, inst, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := p.Finish(inst, res, opts)
+	out, err := p.Finish(res)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, res, nil
+}
+
+// contenderSlots labels the output vector of the implicit elections
+// (gilbertrs18, gilbertrs18-fixed, kpprt): whether the node is a leader,
+// whether it competed, its drawn id (0 when it did not), and the round it
+// elected itself (-1 when it did not).
+func contenderSlots() []string { return []string{"leader", "contender", "id", "leader_round"} }
+
+// foldContenders is the Finish of the implicit elections: it folds rows
+// labeled by contenderSlots into the Outcome of backend name.
+func foldContenders(name string, res *engine.Result) *Outcome {
+	out := &Outcome{Algorithm: name, LeaderRound: -1, Rounds: res.Rounds, Metrics: res.Metrics}
+	for v, o := range res.Outputs {
+		if o[1] == 0 {
+			continue
+		}
+		out.Contenders++
+		if o[0] == 0 {
+			continue
+		}
+		out.Leaders = append(out.Leaders, v)
+		out.LeaderIDs = append(out.LeaderIDs, protocol.ID(o[2]))
+		if round := int(o[3]); out.LeaderRound == -1 || round < out.LeaderRound {
+			out.LeaderRound = round
+		}
+	}
+	out.Success = len(out.Leaders) == 1
+	return out
 }

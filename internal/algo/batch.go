@@ -29,10 +29,8 @@ type BatchResult struct {
 func RunMany(p ElectionProtocol, g *graph.Graph, opts engine.BatchOptions) (*BatchResult, error) {
 	outcomes := make([]int8, max(opts.Trials, 0))
 	contenders := make([]int32, len(outcomes))
-	batch, err := engine.RunMany(p, g, opts, func(i int, inst engine.Instance, res *engine.Result) error {
-		// Finish reads only the run's sharding (Remote), which every trial
-		// shares with Base; seeds and fault planes differ per trial.
-		out, err := p.Finish(inst, res, opts.Base)
+	batch, err := engine.RunMany(p, g, opts, func(i int, res *engine.Result) error {
+		out, err := p.Finish(res)
 		if err != nil {
 			return err
 		}

@@ -7,14 +7,19 @@
 // hard-wiring the paper's algorithm.
 //
 // Every built-in backend is an ElectionProtocol: an engine.Protocol plus
-// a Finish fold from the engine's per-node output report into an election
-// Outcome. Each is built from the engine's flat Config by one
-// constructor, which reads the knobs its backend uses and applies their
-// defaults. The table is registered in engine's registry, so
-// protocol-generic layers (the cluster runtime, cmd/electsim -protocol,
-// the conformance batteries, the E22 experiment) run elections without
-// knowing they are elections; New is its typed lookup. Run returns the
-// Outcome together with the engine report (per-node send counts under
+// a Finish fold from the engine's report — the per-node output matrix and
+// the run's accounting, nothing else — into an election Outcome. The
+// implicit elections (gilbertrs18, gilbertrs18-fixed, kpprt) share one
+// slot list and one fold; floodmax folds its own. Because the fold needs
+// only the matrix, the cluster runtime calls the same Finish on the
+// matrix it reassembles from its shards. Each backend is built from the
+// engine's flat Config by one constructor, which reads the knobs its
+// backend uses and applies their defaults. The table is registered in
+// engine's registry, so protocol-generic layers (the cluster runtime,
+// cmd/electsim -protocol, the conformance batteries, the E22 experiment)
+// run elections without knowing they are elections; New is its typed
+// lookup. Run is engine.Run followed by Finish, and returns the Outcome
+// together with the engine report (per-node send counts under
 // engine.Options.CountSends — the currency of the keystone invariant).
 //
 // Four backends ship in the registry:

@@ -1,8 +1,6 @@
 package algo
 
 import (
-	"fmt"
-
 	"wcle/internal/baseline"
 	"wcle/internal/engine"
 	"wcle/internal/graph"
@@ -22,52 +20,50 @@ func newFloodMax(cfg engine.Config) ElectionProtocol {
 
 func (a floodmax) Name() string { return FloodMax }
 
-// Slots labels the engine-level output vector of floodmax nodes.
-func (a floodmax) Slots() []string { return []string{"leader", "max_seen"} }
+// Slots labels the engine-level output vector of floodmax nodes: whether
+// the node is a leader, the largest id it saw, and its own drawn id.
+func (a floodmax) Slots() []string { return []string{"leader", "max_seen", "id"} }
 
 // Init implements engine.Protocol.
 func (a floodmax) Init(g *graph.Graph) (engine.Instance, error) {
 	return baseline.Build(g, a.horizon)
 }
 
-// Finish implements ElectionProtocol.
-func (a floodmax) Finish(inst engine.Instance, eres *engine.Result, opts engine.Options) (*Outcome, error) {
-	bi, ok := inst.(*baseline.Instance)
-	if !ok {
-		return nil, fmt.Errorf("algo: floodmax: unexpected instance type %T", inst)
+// Finish implements ElectionProtocol. Every node competes with its drawn
+// id. The election is explicit when every node's max_seen is the largest
+// drawn id: faults can break agreement, and a forged flood value above it
+// is not agreement.
+func (a floodmax) Finish(res *engine.Result) (*Outcome, error) {
+	out := &Outcome{
+		Algorithm:   FloodMax,
+		Explicit:    true,
+		Contenders:  len(res.Outputs),
+		LeaderRound: -1,
+		Rounds:      res.Rounds,
+		Metrics:     res.Metrics,
 	}
-	res := bi.Collect(eres.Metrics, opts.Remote != nil)
-	// Every node competes with its drawn id; a sharded run reports only
-	// the locally hosted competitors, so the cluster merge sums back to n.
-	contenders := len(eres.Outputs)
-	if opts.Remote != nil {
-		contenders = 0
-		for v := 0; v < len(eres.Outputs); v++ {
-			if opts.Remote.Local(v) {
-				contenders++
-			}
+	var maxID protocol.ID
+	for _, o := range res.Outputs {
+		maxID = max(maxID, protocol.ID(o[2]))
+	}
+	for v, o := range res.Outputs {
+		if o[0] != 0 {
+			out.Leaders = append(out.Leaders, v)
+		}
+		if protocol.ID(o[1]) != maxID {
+			out.Explicit = false
 		}
 	}
-	out := &Outcome{
-		Algorithm: FloodMax,
-		Leaders:   res.Leaders,
-		Success:   len(res.Leaders) == 1,
-		// FloodMax is an explicit election only when every node converged
-		// to the winning id (faults can break agreement).
-		Explicit:    res.AllAgree,
-		Contenders:  contenders,
-		LeaderRound: -1,
-		Rounds:      res.Metrics.FinalRound,
-		Metrics:     res.Metrics,
-		Detail:      res,
+	out.Success = len(out.Leaders) == 1
+	if len(out.Leaders) > 0 {
+		// Leaders all decide at the horizon round (0 means n).
+		out.LeaderRound = a.horizon
+		if a.horizon <= 0 {
+			out.LeaderRound = len(res.Outputs)
+		}
 	}
-	if len(res.Leaders) > 0 {
-		// Leaders all decide at the horizon round.
-		out.LeaderRound = res.Horizon
-	}
-	if len(res.Leaders) == 1 {
-		// Under perfect delivery the unique leader holds the global max id.
-		out.LeaderIDs = []protocol.ID{res.LeaderID}
+	if out.Success {
+		out.LeaderIDs = []protocol.ID{protocol.ID(res.Outputs[out.Leaders[0]][2])}
 	}
 	return out, nil
 }

@@ -1,8 +1,6 @@
 package algo
 
 import (
-	"fmt"
-
 	"wcle/internal/core"
 	"wcle/internal/engine"
 	"wcle/internal/graph"
@@ -59,7 +57,7 @@ func coreConfig(cfg engine.Config) core.Config {
 func (a gilbert) Name() string { return a.name }
 
 // Slots labels the engine-level output vector of core's nodes.
-func (a gilbert) Slots() []string { return []string{"leader", "contender", "id"} }
+func (a gilbert) Slots() []string { return contenderSlots() }
 
 // Init implements engine.Protocol.
 func (a gilbert) Init(g *graph.Graph) (engine.Instance, error) {
@@ -71,22 +69,6 @@ func (a gilbert) Init(g *graph.Graph) (engine.Instance, error) {
 }
 
 // Finish implements ElectionProtocol.
-func (a gilbert) Finish(inst engine.Instance, eres *engine.Result, opts engine.Options) (*Outcome, error) {
-	ci, ok := inst.(*core.Instance)
-	if !ok {
-		return nil, fmt.Errorf("algo: %s: unexpected instance type %T", a.name, inst)
-	}
-	res := ci.Collect(eres.Metrics)
-	return &Outcome{
-		Algorithm:   a.name,
-		Leaders:     res.Leaders,
-		LeaderIDs:   res.LeaderIDs,
-		Success:     res.Success,
-		Explicit:    false,
-		Contenders:  len(res.Contenders),
-		LeaderRound: res.LeaderRound,
-		Rounds:      res.Rounds,
-		Metrics:     res.Metrics,
-		Detail:      res,
-	}, nil
+func (a gilbert) Finish(res *engine.Result) (*Outcome, error) {
+	return foldContenders(a.name, res), nil
 }

@@ -417,30 +417,18 @@ func (nd *kNode) launch(ctx *sim.Context) {
 	ctx.WakeAt(ctx.Round() + 1)
 }
 
-// Output is the node's decision vector [leader(0/1), candidate(0/1),
-// drawn id (0 when not a candidate)].
+// Output is the node's decision vector over contenderSlots: [leader(0/1),
+// candidate(0/1), drawn id (0 when not a candidate), the round it elected
+// itself (-1 when not a leader)].
 func (nd *kNode) Output() []int64 {
-	leader, candidate := int64(0), int64(0)
+	out := []int64{0, 0, int64(nd.id), -1}
 	if nd.leader {
-		leader = 1
+		out[0], out[3] = 1, int64(nd.leadRound)
 	}
 	if nd.candidate {
-		candidate = 1
+		out[1] = 1
 	}
-	return []int64{leader, candidate, int64(nd.id)}
-}
-
-// SublinearResult is the kpprt backend's native result.
-type SublinearResult struct {
-	// Candidates lists the self-sampled candidate node indices.
-	Candidates []int
-	// Leaders lists candidates that collected a full committee of wins.
-	Leaders   []int
-	LeaderIDs []protocol.ID
-	// Committee is the resolved committee size r; Hops and Window the
-	// resolved sampling walk length and referee decision round.
-	Committee, Hops, Window int
-	Metrics                 sim.Metrics
+	return out
 }
 
 // sublinear is the registered kpprt backend, an ElectionProtocol. Its
@@ -475,7 +463,7 @@ func newSublinear(cfg engine.Config) ElectionProtocol {
 func (a sublinear) Name() string { return KPPRT }
 
 // Slots labels the engine-level output vector of kpprt nodes.
-func (a sublinear) Slots() []string { return []string{"leader", "candidate", "id"} }
+func (a sublinear) Slots() []string { return contenderSlots() }
 
 // kInstance is one kpprt run's per-node machines (engine.Instance).
 type kInstance struct {
@@ -508,30 +496,6 @@ func (a sublinear) Init(g *graph.Graph) (engine.Instance, error) {
 }
 
 // Finish implements ElectionProtocol.
-func (a sublinear) Finish(inst engine.Instance, eres *engine.Result, opts engine.Options) (*Outcome, error) {
-	ki, ok := inst.(*kInstance)
-	if !ok {
-		return nil, fmt.Errorf("algo: kpprt: unexpected instance type %T", inst)
-	}
-	p, metrics := ki.p, eres.Metrics
-	res := &SublinearResult{Committee: p.committee, Hops: p.hops, Window: p.window, Metrics: metrics}
-	out := &Outcome{Algorithm: KPPRT, LeaderRound: -1, Rounds: metrics.FinalRound, Metrics: metrics, Detail: res}
-	for v, nd := range ki.nodes {
-		if !nd.candidate {
-			continue
-		}
-		res.Candidates = append(res.Candidates, v)
-		if nd.leader {
-			res.Leaders = append(res.Leaders, v)
-			res.LeaderIDs = append(res.LeaderIDs, nd.id)
-			if out.LeaderRound == -1 || nd.leadRound < out.LeaderRound {
-				out.LeaderRound = nd.leadRound
-			}
-		}
-	}
-	out.Leaders = res.Leaders
-	out.LeaderIDs = res.LeaderIDs
-	out.Contenders = len(res.Candidates)
-	out.Success = len(res.Leaders) == 1
-	return out, nil
+func (a sublinear) Finish(res *engine.Result) (*Outcome, error) {
+	return foldContenders(KPPRT, res), nil
 }

@@ -37,7 +37,7 @@ var builders = map[string]func(cfg engine.Config) ElectionProtocol{
 }
 
 func init() {
-	// Protocol-generic layers (the cluster's engine path, cmd/electsim
+	// Protocol-generic layers (a cluster job's Protocol field, cmd/electsim
 	// -protocol, the protocol batteries) build the same backends by name.
 	for name, build := range builders {
 		engine.Register(name, func(cfg engine.Config) (engine.Protocol, error) {

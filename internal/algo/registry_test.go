@@ -7,9 +7,12 @@ import (
 	"testing"
 
 	"wcle/internal/algo"
+	"wcle/internal/algo/algotest"
+	"wcle/internal/baseline"
 	"wcle/internal/core"
 	"wcle/internal/engine"
 	"wcle/internal/graph"
+	"wcle/internal/protocol"
 	"wcle/internal/sim"
 )
 
@@ -41,35 +44,101 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
-// TestGilbertBackendMatchesCore pins the backend: running the paper's
+// TestGilbertBackendMatchesCore pins both gilbertrs18 backends' fold over
+// the output matrix to core's native collector: running the paper's
 // algorithm through the registry must reproduce core.Run exactly.
 func TestGilbertBackendMatchesCore(t *testing.T) {
 	g, err := graph.RandomRegular(48, 8, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := algo.New(algo.GilbertRS18, engine.Config{})
+	fixed := core.DefaultConfig()
+	fixed.FixedWalkLen = 4 * g.N() // gilbertrs18-fixed's default walk length
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{{algo.GilbertRS18, core.DefaultConfig()}, {algo.GilbertRS18Fixed, fixed}} {
+		p, err := algo.New(c.name, engine.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(0); seed < 3; seed++ {
+			out, _, err := algo.Run(p, g, engine.Options{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.Run(g, c.cfg, engine.Options{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(out.Leaders, want.Leaders) ||
+				!reflect.DeepEqual(out.LeaderIDs, want.LeaderIDs) ||
+				out.Contenders != len(want.Contenders) ||
+				out.LeaderRound != want.LeaderRound ||
+				out.Success != want.Success ||
+				out.Rounds != want.Rounds ||
+				out.Metrics.Messages != want.Metrics.Messages ||
+				out.Metrics.Bits != want.Metrics.Bits {
+				t.Fatalf("%s seed %d: backend diverged from core.Run: %+v vs %+v", c.name, seed, out, want)
+			}
+		}
+	}
+}
+
+// TestFloodMaxBackendMatchesBaseline pins floodmax's fold over the output
+// matrix to baseline's native collector: the same leaders, the unique
+// leader's id is the largest drawn id, and the election is explicit
+// exactly when every node agreed on it — under loss and forgery too.
+func TestFloodMaxBackendMatchesBaseline(t *testing.T) {
+	p, err := algo.New(algo.FloodMax, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := int64(0); seed < 3; seed++ {
-		out, _, err := algo.Run(p, g, engine.Options{Seed: seed})
-		if err != nil {
-			t.Fatal(err)
+	planes := []struct {
+		name  string
+		fault func() sim.FaultPlane
+	}{
+		{"perfect", func() sim.FaultPlane { return nil }},
+		{"drop5", func() sim.FaultPlane { return &sim.Drop{P: 0.05} }},
+		{"byz15", func() sim.FaultPlane { return &sim.Byzantine{Frac: 0.15} }},
+	}
+	disagreed := 0
+	for _, tg := range algotest.FaultGraphs(t, defaultCfg) {
+		for _, pl := range planes {
+			for seed := int64(0); seed < 10; seed++ {
+				out, _, err := algo.Run(p, tg.G, engine.Options{Seed: seed, Fault: pl.fault()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := baseline.Run(tg.G, 0, engine.Options{Seed: seed, Fault: pl.fault()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wantIDs []protocol.ID
+				if len(want.Leaders) == 1 {
+					wantIDs = []protocol.ID{want.LeaderID}
+				}
+				wantRound := -1
+				if len(want.Leaders) > 0 {
+					wantRound = want.Horizon
+				}
+				if !reflect.DeepEqual(out.Leaders, want.Leaders) ||
+					!reflect.DeepEqual(out.LeaderIDs, wantIDs) ||
+					out.Explicit != want.AllAgree ||
+					out.LeaderRound != wantRound ||
+					out.Metrics.Messages != want.Metrics.Messages {
+					t.Fatalf("%s/%s seed %d: backend diverged from baseline.Run: %+v vs %+v", tg.Name, pl.name, seed, out, want)
+				}
+				if !want.AllAgree {
+					disagreed++
+				}
+			}
 		}
-		want, err := core.Run(g, core.DefaultConfig(), engine.Options{Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(out.Leaders, want.Leaders) ||
-			out.Rounds != want.Rounds ||
-			out.Metrics.Messages != want.Metrics.Messages ||
-			out.Metrics.Bits != want.Metrics.Bits {
-			t.Fatalf("seed %d: backend diverged from core.Run: %+v vs %+v", seed, out, want)
-		}
-		if _, ok := out.Detail.(*core.Result); !ok {
-			t.Fatalf("Detail is %T, want *core.Result", out.Detail)
-		}
+	}
+	// The faulty planes must break agreement somewhere, or the check
+	// covers only one side of Explicit.
+	if disagreed == 0 {
+		t.Fatal("no run broke agreement")
 	}
 }
 

@@ -75,14 +75,14 @@ func (nd *floodNode) Step(ctx *sim.Context, inbox []sim.Envelope) error {
 	return nil
 }
 
-// Output is the node's decision vector [leader(0/1), largest id seen].
-// A node another shard hosts never steps, so its output stays [0, 0].
+// Output is the node's decision vector [leader(0/1), largest id seen,
+// own drawn id].
 func (nd *floodNode) Output() []int64 {
 	leader := int64(0)
 	if nd.leader {
 		leader = 1
 	}
-	return []int64{leader, int64(nd.maxSeen)}
+	return []int64{leader, int64(nd.maxSeen), int64(nd.id)}
 }
 
 // FloodMaxResult reports a FloodMax run.
@@ -90,17 +90,10 @@ type FloodMaxResult struct {
 	// Leaders holds the node indices that declared leadership (exactly one
 	// when the horizon covers the diameter and delivery is perfect).
 	Leaders []int
-	// LeaderID is the elected id: the largest real id, over the whole
-	// graph in process and over the hosted nodes on a shard.
+	// LeaderID is the elected id: the largest drawn id.
 	LeaderID protocol.ID
-	// AllAgree reports whether every node's maxSeen converged to AgreeID.
+	// AllAgree reports whether every node's maxSeen converged to LeaderID.
 	AllAgree bool
-	// AgreeID is the value the agreement check compared against: the
-	// global maximum id in process, the largest locally observed flood
-	// value on a shard. The cluster merge requires every shard's AgreeID
-	// to match and to equal the largest shard LeaderID — local agreement
-	// on different values, or on a forged one, is not agreement.
-	AgreeID protocol.ID
 	// Horizon is the resolved decision round.
 	Horizon int
 	Metrics sim.Metrics
@@ -143,42 +136,16 @@ func (i *Instance) Node(v int) engine.Node { return i.nodes[v] }
 func (i *Instance) Limits() engine.Limits { return i.lim }
 
 // Collect folds the instance's post-run state into the native result.
-// sharded says the run hosted only part of the graph (sim.Config.Remote),
-// which switches the agreement target to the shard-local one.
-func (i *Instance) Collect(metrics sim.Metrics, sharded bool) *FloodMaxResult {
-	nodes := i.nodes
+func (i *Instance) Collect(metrics sim.Metrics) *FloodMaxResult {
 	res := &FloodMaxResult{Metrics: metrics, AllAgree: true, Horizon: i.horizon}
-	var max protocol.ID
-	for _, nd := range nodes {
-		if nd.id > max {
-			max = nd.id
-		}
+	for _, nd := range i.nodes {
+		res.LeaderID = max(res.LeaderID, nd.id)
 	}
-	res.LeaderID = max
-	// The agreement target: the global maximum id in process, the largest
-	// locally observed flood value on a shard (the global maximum lives on
-	// another shard, but every hosted node converges to the same value).
-	agree := max
-	if sharded {
-		agree = 0
-		for _, nd := range nodes {
-			if nd.id != 0 && nd.maxSeen > agree {
-				agree = nd.maxSeen
-			}
-		}
-	}
-	res.AgreeID = agree
-	for v, nd := range nodes {
-		if sharded && nd.id == 0 {
-			// A node another shard hosts: never stepped here, so its
-			// state says nothing. The shard-local result covers only
-			// local nodes; the cluster merge reassembles the whole.
-			continue
-		}
+	for v, nd := range i.nodes {
 		if nd.leader {
 			res.Leaders = append(res.Leaders, v)
 		}
-		if nd.maxSeen != agree {
+		if nd.maxSeen != res.LeaderID {
 			res.AllAgree = false
 		}
 	}
@@ -196,7 +163,7 @@ func Run(g *graph.Graph, horizon int, opts engine.Options) (*FloodMaxResult, err
 	if err != nil {
 		return nil, fmt.Errorf("baseline: floodmax failed: %w", err)
 	}
-	return inst.Collect(metrics, opts.Remote != nil), nil
+	return inst.Collect(metrics), nil
 }
 
 // FloodMax runs the baseline on g. horizon is the number of rounds before

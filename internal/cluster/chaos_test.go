@@ -19,9 +19,10 @@ import (
 // whole apparatus must tear down without leaking a goroutine.
 // TestChaosByzantineJobs is the Byzantine-plane chaos pass: a rapid
 // sequence of adversarial jobs — sampled and pinned adversary sets,
-// composed with omission planes, defended and undefended, the election
-// and the engine path — over one 3-shard loopback session, each job
-// immediately replayed and required to reproduce byte-identically. This
+// composed with omission planes, defended and undefended, in both job
+// spellings (Algorithm and Protocol) — over one 3-shard loopback session,
+// each job immediately replayed and required to reproduce
+// byte-identically. This
 // deliberately runs in -short: it is the -race coverage of the mutation
 // path (per-sender rng streams, the claim codec, the merge) over real
 // TCP, cheap enough for every CI run.

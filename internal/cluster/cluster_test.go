@@ -320,25 +320,30 @@ func TestStrayJoinAfterAssembly(t *testing.T) {
 
 // TestJoinRejectsOtherProtocolVersion: a worker built from another
 // wire-protocol version fails setup with an error naming both versions,
-// instead of joining a session it cannot speak.
+// instead of joining a session it cannot speak. Version 2 differs only in
+// its result frame, so it must be refused as firmly as version 1.
 func TestJoinRejectsOtherProtocolVersion(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{Listen: "127.0.0.1:0", Shards: 2, ReadyTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Shutdown()
-	conn, err := net.Dial("tcp", coord.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := writeJSONFrame(conn, frameHello, helloMsg{Proto: 1, Shard: 1, Addr: "127.0.0.1:1"}); err != nil {
-		t.Fatal(err)
-	}
-	_, err = coord.Run(JobSpec{Graph: serve.GraphSpec{Family: "clique", N: 8, Seed: 1}, Seed: 4})
-	want := fmt.Sprintf("speaks protocol 1, want %d", proto)
-	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("setup with a protocol-1 worker: got %v, want an error containing %q", err, want)
+	for _, v := range []int{1, 2} {
+		t.Run(fmt.Sprintf("proto%d", v), func(t *testing.T) {
+			coord, err := NewCoordinator(CoordinatorConfig{Listen: "127.0.0.1:0", Shards: 2, ReadyTimeout: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Shutdown()
+			conn, err := net.Dial("tcp", coord.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := writeJSONFrame(conn, frameHello, helloMsg{Proto: v, Shard: 1, Addr: "127.0.0.1:1"}); err != nil {
+				t.Fatal(err)
+			}
+			_, err = coord.Run(JobSpec{Graph: serve.GraphSpec{Family: "clique", N: 8, Seed: 1}, Seed: 4})
+			want := fmt.Sprintf("speaks protocol %d, want %d", v, proto)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("setup with a protocol-%d worker: got %v, want an error containing %q", v, err, want)
+			}
+		})
 	}
 }
 

@@ -345,7 +345,8 @@ func (c *Coordinator) elect(spec JobSpec) (*Result, error) {
 	}
 	// Validate before touching the workers, with the resolver every shard
 	// runs: a bad spec must fail the job, not the session.
-	if _, err := spec.runner(); err != nil {
+	p, err := spec.protocol()
+	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if err := spec.Fault.Validate(); err != nil {
@@ -403,7 +404,7 @@ func (c *Coordinator) elect(spec JobSpec) (*Result, error) {
 		}
 		parts = append(parts, pr)
 	}
-	res, err := merge(g.N(), c.cfg.Shards, parts)
+	res, err := merge(p, g.N(), c.cfg.Shards, parts)
 	if err != nil {
 		// A failed job leaves barrier state (aborts, half-flushed
 		// rounds) on the links; nothing after it can trust them — until a

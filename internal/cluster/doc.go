@@ -1,6 +1,6 @@
 // Package cluster is the wire-level runtime: it runs the registered
-// election backends over real TCP between electnode processes, one process
-// per shard of the graph.
+// protocols — the election backends among them — over real TCP between
+// electnode processes, one process per shard of the graph.
 //
 // Every process hosts a contiguous slice of the graph's nodes and runs the
 // ordinary sim engine over the full graph structure (built deterministically
@@ -26,8 +26,16 @@
 //     their higher-numbered peers, and dial their lower-numbered ones;
 //   - clients (cmd/electnode -submit, electd's cluster mode, the wcle
 //     facade's ElectCluster) dial the coordinator and submit JobSpecs;
-//     the coordinator fans the job out, runs its own shard, merges the
-//     per-shard partial outcomes, and answers.
+//     the coordinator fans the job out, runs its own shard, and answers.
+//
+// Every job takes one path, whichever way its spec names the protocol
+// (Algorithm with the flat election knobs, or Protocol with an
+// engine.Config): each shard runs the protocol through engine.Run and
+// reports only its hosted rows of the output matrix and its own
+// accounting. The coordinator reassembles the whole engine.Result, fails
+// the job if any node's row is missing, and for an election calls the
+// backend's Finish — the fold an in-process algo.Run calls — so the two
+// planes agree on the Outcome by construction.
 //
 // The barrier is one peer-to-peer phase: data frames carry an epoch, so
 // every shard can verify it is in the same iteration, and the final chunk

@@ -14,8 +14,9 @@ import (
 
 // proto is the cluster wire-protocol version, checked at every hello: a
 // joiner speaking another version is refused, so every process of a
-// cluster runs the same protocol.
-const proto = 2
+// cluster runs the same protocol. In version 3 a shard's result frame
+// carries its hosted output rows and its accounting.
+const proto = 3
 
 // Frame types. Part of the wire format: never reuse. 0x11 and 0x12 are
 // reserved: they were the ready/advance frames of the retired coordinator

@@ -1,19 +1,16 @@
 package cluster
 
-// Job layer: what one election looks like on the wire (JobSpec), how one
-// shard executes its slice of it (runShard), and how the coordinator folds
-// the per-shard partial outcomes back into one algo.Outcome (merge).
+// Job layer: what one job looks like on the wire (JobSpec), how one shard
+// executes its slice of it (runShard), and how the coordinator reassembles
+// the shards' rows into one engine.Result and folds it (merge).
 
 import (
 	"fmt"
-	"sort"
 
 	"wcle/internal/algo"
-	"wcle/internal/baseline"
 	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/obs"
-	"wcle/internal/protocol"
 	"wcle/internal/serve"
 	"wcle/internal/sim"
 )
@@ -28,10 +25,9 @@ type JobSpec struct {
 	// Algorithm names the election backend ("" = the registry default).
 	Algorithm string `json:"algorithm,omitempty"`
 	// Protocol, when set, runs the named engine-registry protocol instead
-	// of the election path — push-pull broadcast, a BFS tree, an
-	// aggregation, or any election by name. The merged Result then carries
-	// Engine (the reassembled protocol-level report); Outcome holds only
-	// the summed metrics. Engine parameterizes the protocol.
+	// of Algorithm — push-pull broadcast, a BFS tree, an aggregation, or
+	// any election by name — and Engine parameterizes it in place of the
+	// flat knobs below. Both spellings run the same job path.
 	Protocol string        `json:"protocol,omitempty"`
 	Engine   engine.Config `json:"engine,omitempty"`
 	// Seed drives all randomness of the run deterministically: the same
@@ -119,57 +115,31 @@ func (s JobSpec) config() engine.Config {
 	}
 }
 
-// runner resolves the spec's execution path before any wire activity
-// starts: the generic engine path when Protocol is set, the election
-// backend otherwise. Both return the engine-level report (per-node send
-// counts, and on the engine path the output matrix); the election path
-// additionally returns the Outcome. Resolving before the plane exists
-// keeps a bad spec from ever touching the barrier.
-func (s JobSpec) runner() (func(g *graph.Graph, pl *plane, tr *obs.Tracer) (*algo.Outcome, *engine.Result, error), error) {
-	opts := func(pl *plane, tr *obs.Tracer) engine.Options {
-		return engine.Options{
-			Seed:       s.Seed,
-			MaxRounds:  s.MaxRounds,
-			DebugFrom:  s.DebugFrom,
-			CountSends: true,
-			Fault:      s.Fault.Plane(),
-			Remote:     pl,
-			Tracer:     tr,
-		}
-	}
+// protocol resolves the spec's protocol before any wire activity starts:
+// the engine-registry protocol Protocol names, built from Engine, or else
+// the election backend Algorithm names, built from the flat knobs.
+// Resolving before the plane exists keeps a bad spec from ever touching
+// the barrier.
+func (s JobSpec) protocol() (engine.Protocol, error) {
 	if s.Protocol != "" {
-		p, err := engine.New(s.Protocol, s.Engine)
-		if err != nil {
-			return nil, err
-		}
-		return func(g *graph.Graph, pl *plane, tr *obs.Tracer) (*algo.Outcome, *engine.Result, error) {
-			res, err := engine.Run(p, g, opts(pl, tr))
-			return nil, res, err
-		}, nil
+		return engine.New(s.Protocol, s.Engine)
 	}
-	p, err := algo.New(s.Algorithm, s.config())
-	if err != nil {
-		return nil, err
-	}
-	return func(g *graph.Graph, pl *plane, tr *obs.Tracer) (*algo.Outcome, *engine.Result, error) {
-		return algo.Run(p, g, opts(pl, tr))
-	}, nil
+	return algo.New(s.Algorithm, s.config())
 }
 
-// Result is a merged cluster election outcome.
+// Result is a merged cluster job.
 type Result struct {
-	// Outcome is the backend-independent summary, field-compatible with
-	// an in-process run of the same (graph, algorithm, seed): identical
-	// leaders, leader ids, contenders, rounds, and summed message/bit/
-	// delivery accounting. Metrics.BusyRounds is the maximum over shards
-	// (each shard only observes its own busy rounds); Detail is nil (the
-	// backends' native results live on the shards).
+	// Outcome is the election summary: the backend's Finish applied to
+	// Engine, the same fold an in-process run applies to its own report,
+	// so it matches an in-process run of the same (graph, backend, seed)
+	// field for field. The one exception is Metrics.BusyRounds, the
+	// maximum over shards (each shard only observes its own busy rounds).
+	// A protocol that is not an election leaves only Algorithm (its name),
+	// LeaderRound (-1), Rounds and Metrics set.
 	Outcome algo.Outcome `json:"outcome"`
 	// Engine is the reassembled protocol-level report: the full Outputs
 	// matrix (each shard contributes its hosted rows), the protocol name
-	// and slot labels, and the summed metrics. Present whenever the job
-	// ran through the engine path (JobSpec.Protocol set); nil on the
-	// election path, whose report is Outcome.
+	// and slot labels, the per-node send counts and the summed metrics.
 	Engine *engine.Result `json:"engine,omitempty"`
 	// PerNodeMessages[v] counts the sends of node v, assembled from the
 	// owning shards — the per-node accounting the determinism contract
@@ -182,38 +152,19 @@ type Result struct {
 	N      int `json:"n"`
 }
 
-// partialResult is one shard's contribution, as it crosses the wire.
+// partialResult is one shard's contribution, as it crosses the wire: its
+// hosted rows of the output matrix and its own accounting.
 type partialResult struct {
 	Shard int    `json:"shard"`
 	JobID int64  `json:"job_id"`
 	Err   string `json:"err,omitempty"`
 
-	Algorithm string `json:"algorithm,omitempty"`
-	Explicit  bool   `json:"explicit,omitempty"`
-	// Protocol, Slots and Outputs are the engine-path fields: the shard's
-	// hosted rows of the output matrix (Outputs[i] is node Lo+i's decision
-	// vector). Empty on the election path.
-	Protocol string    `json:"protocol,omitempty"`
-	Slots    []string  `json:"slots,omitempty"`
-	Outputs  [][]int64 `json:"outputs,omitempty"`
-	// AgreeID is floodmax's shard-local agreement value and MaxID its
-	// largest hosted real id (both 0 for other backends): the merge
-	// requires every shard to have agreed on the same value, and that
-	// value to be the largest real id of the whole graph, or the election
-	// is not explicit.
-	AgreeID     uint64      `json:"agree_id,omitempty"`
-	MaxID       uint64      `json:"max_id,omitempty"`
-	Leaders     []int       `json:"leaders,omitempty"`
-	LeaderIDs   []uint64    `json:"leader_ids,omitempty"`
-	Contenders  int         `json:"contenders"`
-	LeaderRound int         `json:"leader_round"`
-	Rounds      int         `json:"rounds"`
-	Metrics     sim.Metrics `json:"metrics"`
-
-	// Lo is the shard's first node; NodeMessages[i] counts the sends of
-	// node Lo+i.
-	Lo           int     `json:"lo"`
-	NodeMessages []int64 `json:"node_messages"`
+	// Lo is the shard's first node; Outputs[i] is node Lo+i's output
+	// vector and NodeMessages[i] counts its sends.
+	Lo           int         `json:"lo"`
+	Outputs      [][]int64   `json:"outputs,omitempty"`
+	NodeMessages []int64     `json:"node_messages"`
+	Metrics      sim.Metrics `json:"metrics"`
 
 	Wire WireStats `json:"wire"`
 }
@@ -224,7 +175,7 @@ type partialResult struct {
 // compress is the session's data-frame compression setting; tr (nil ok)
 // records the shard's job span and the run's round spans.
 func runShard(links []*link, shard, shards int, jobID int64, spec JobSpec, compress bool, tr *obs.Tracer) partialResult {
-	pr := partialResult{Shard: shard, JobID: jobID, LeaderRound: -1}
+	pr := partialResult{Shard: shard, JobID: jobID}
 	g0, err := spec.Graph.Build()
 	if err != nil {
 		pr.Err = err.Error()
@@ -239,7 +190,7 @@ func runShard(links []*link, shard, shards int, jobID int64, spec JobSpec, compr
 		pr.Err = err.Error()
 		return pr
 	}
-	run, err := spec.runner()
+	p, err := spec.protocol()
 	if err != nil {
 		pr.Err = err.Error()
 		return pr
@@ -254,22 +205,31 @@ func runShard(links []*link, shard, shards int, jobID int64, spec JobSpec, compr
 		}
 	}
 	pl := newPlane(jobLinks, shard, shards, owner, compress, tr)
-	jobName := spec.Algorithm
-	if spec.Protocol != "" {
-		jobName = spec.Protocol
-	}
-	if jobName == "" {
-		jobName = "default"
-	}
-	jobSp := tr.Start("job", jobName, -1)
+	jobSp := tr.Start("job", p.Name(), -1)
 	jobSp.Arg("job_id", jobID)
 	jobSp.Arg("seed", spec.Seed)
 	jobSp.Arg("nodes", int64(g.N()))
-	out, eres, err := run(g, pl, tr)
+	res, err := engine.Run(p, g, engine.Options{
+		Seed:       spec.Seed,
+		MaxRounds:  spec.MaxRounds,
+		DebugFrom:  spec.DebugFrom,
+		CountSends: true,
+		Fault:      spec.Fault.Plane(),
+		Remote:     pl,
+		Tracer:     tr,
+	})
 	jobSp.Arg("envelopes", pl.stats.Envelopes)
 	jobSp.Arg("barriers", pl.stats.Barriers)
 	jobSp.End()
 	pr.Wire = pl.stats
+	if err != nil {
+		// The run died mid-barrier (a step error, a broken link, the
+		// round cap): peers may be blocked on our next frame, so the
+		// session is broken — say so on every link before reporting.
+		_ = pl.abort(err)
+		pr.Err = err.Error()
+		return pr
+	}
 	// A shard's nodes stay contiguous after induced renumbering (members
 	// are ascending and original ranges are contiguous), so Lo + a slice
 	// still describes them.
@@ -284,147 +244,73 @@ func runShard(links []*link, shard, shards int, jobID int64, spec JobSpec, compr
 		hi = v + 1
 	}
 	pr.Lo = lo
-	if eres != nil && len(eres.PerNodeMessages) >= hi {
-		pr.NodeMessages = eres.PerNodeMessages[lo:hi]
-	} else {
-		pr.NodeMessages = make([]int64, hi-lo)
-	}
-	if err != nil {
-		// The run died mid-barrier (a step error, a broken link, the
-		// round cap): peers may be blocked on our next frame, so the
-		// session is broken — say so on every link before reporting.
-		_ = pl.abort(err)
-		pr.Err = err.Error()
-		return pr
-	}
-	if spec.Protocol != "" {
-		// Engine path: the shard reports its hosted rows of the output
-		// matrix and the protocol-level accounting; there is no Outcome.
-		pr.Algorithm = eres.Protocol
-		pr.Protocol = eres.Protocol
-		pr.Slots = eres.Slots
-		pr.Outputs = eres.Outputs[lo:hi]
-		pr.Rounds = eres.Rounds
-		pr.Metrics = eres.Metrics
-		return pr
-	}
-	pr.Algorithm = out.Algorithm
-	pr.Explicit = out.Explicit
-	if fm, ok := out.Detail.(*baseline.FloodMaxResult); ok {
-		pr.AgreeID, pr.MaxID = uint64(fm.AgreeID), uint64(fm.LeaderID)
-	}
-	pr.Leaders = out.Leaders
-	for _, id := range out.LeaderIDs {
-		pr.LeaderIDs = append(pr.LeaderIDs, uint64(id))
-	}
-	pr.Contenders = out.Contenders
-	pr.LeaderRound = out.LeaderRound
-	pr.Rounds = out.Rounds
-	pr.Metrics = out.Metrics
+	pr.Outputs = res.Outputs[lo:hi]
+	pr.NodeMessages = res.PerNodeMessages[lo:hi]
+	pr.Metrics = res.Metrics
 	return pr
 }
 
-// merge folds the per-shard partials into one Result. Shards are expected
-// in shard order (the coordinator collects them that way); leaders stay
-// sorted because shards own contiguous ascending node ranges.
-func merge(n, shards int, parts []partialResult) (*Result, error) {
-	var firstErr error
-	for _, p := range parts {
-		if p.Err != "" && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: shard %d: %s", p.Shard, p.Err)
+// merge reassembles the per-shard partials of a job of protocol p into
+// one engine.Result over n nodes and folds it: an election's Outcome comes
+// from the same Finish an in-process run calls. Every node's row must
+// arrive with one entry per slot; a job that leaves one out fails rather
+// than fold a zero row.
+func merge(p engine.Protocol, n, shards int, parts []partialResult) (*Result, error) {
+	for _, pt := range parts {
+		if pt.Err != "" {
+			return nil, fmt.Errorf("cluster: shard %d: %s", pt.Shard, pt.Err)
 		}
 	}
 	res := &Result{Shards: shards, N: n, PerNodeMessages: make([]int64, n)}
-	out := &res.Outcome
-	out.LeaderRound = -1
-	out.Explicit = true
-	out.Metrics.ByKind = make(map[string]int64)
-	var agreeID, maxID uint64
-	for _, p := range parts {
-		res.Wire.add(p.Wire)
-		for i, c := range p.NodeMessages {
-			if v := p.Lo + i; v < n {
+	eres := &engine.Result{
+		Protocol:        p.Name(),
+		Slots:           p.Slots(),
+		Outputs:         make([][]int64, n),
+		PerNodeMessages: res.PerNodeMessages,
+		Metrics:         sim.Metrics{ByKind: make(map[string]int64)},
+	}
+	m := &eres.Metrics
+	for _, pt := range parts {
+		res.Wire.add(pt.Wire)
+		for i, c := range pt.NodeMessages {
+			if v := pt.Lo + i; v >= 0 && v < n {
 				res.PerNodeMessages[v] = c
 			}
 		}
-		if p.Err != "" {
-			continue
-		}
-		if p.Protocol != "" {
-			// Engine path: reassemble the output matrix from the shards'
-			// hosted rows.
-			if res.Engine == nil {
-				res.Engine = &engine.Result{
-					Protocol: p.Protocol,
-					Slots:    p.Slots,
-					Outputs:  make([][]int64, n),
-				}
-			}
-			for i, o := range p.Outputs {
-				if v := p.Lo + i; v < n {
-					res.Engine.Outputs[v] = o
-				}
+		for i, o := range pt.Outputs {
+			if v := pt.Lo + i; v >= 0 && v < n {
+				eres.Outputs[v] = o
 			}
 		}
-		if out.Algorithm == "" {
-			out.Algorithm = p.Algorithm
-		}
-		out.Leaders = append(out.Leaders, p.Leaders...)
-		for _, id := range p.LeaderIDs {
-			out.LeaderIDs = append(out.LeaderIDs, protocol.ID(id))
-		}
-		out.Contenders += p.Contenders
-		out.Explicit = out.Explicit && p.Explicit
-		if p.AgreeID != 0 {
-			// Shards must have agreed on the same value: per-shard
-			// agreement on different flood maxima (a horizon too short
-			// for global convergence) is not an explicit election.
-			if agreeID != 0 && p.AgreeID != agreeID {
-				out.Explicit = false
-			}
-			agreeID = p.AgreeID
-		}
-		maxID = max(maxID, p.MaxID)
-		if p.LeaderRound >= 0 && (out.LeaderRound < 0 || p.LeaderRound < out.LeaderRound) {
-			out.LeaderRound = p.LeaderRound
-		}
-		if p.Rounds > out.Rounds {
-			out.Rounds = p.Rounds
-		}
-		m := p.Metrics
-		out.Metrics.Messages += m.Messages
-		out.Metrics.Bits += m.Bits
-		out.Metrics.Dropped += m.Dropped
-		out.Metrics.FaultDrops += m.FaultDrops
-		out.Metrics.Delayed += m.Delayed
-		out.Metrics.Mutated += m.Mutated
-		out.Metrics.Deliveries += m.Deliveries
-		if m.BusyRounds > out.Metrics.BusyRounds {
-			out.Metrics.BusyRounds = m.BusyRounds
-		}
-		if m.FinalRound > out.Metrics.FinalRound {
-			out.Metrics.FinalRound = m.FinalRound
-		}
-		for k, v := range m.ByKind {
-			out.Metrics.ByKind[k] += v
+		pm := pt.Metrics
+		m.Messages += pm.Messages
+		m.Bits += pm.Bits
+		m.Dropped += pm.Dropped
+		m.FaultDrops += pm.FaultDrops
+		m.Delayed += pm.Delayed
+		m.Mutated += pm.Mutated
+		m.Deliveries += pm.Deliveries
+		m.BusyRounds = max(m.BusyRounds, pm.BusyRounds)
+		m.FinalRound = max(m.FinalRound, pm.FinalRound)
+		for k, c := range pm.ByKind {
+			m.ByKind[k] += c
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	for v, o := range eres.Outputs {
+		if len(o) != len(eres.Slots) {
+			return nil, fmt.Errorf("cluster: node %d reported %d of %d output slots", v, len(o), len(eres.Slots))
+		}
 	}
-	if !sort.IntsAreSorted(out.Leaders) {
-		// Shards report in order and own ascending ranges; unsorted
-		// leaders mean a shard lied about its range.
-		return nil, fmt.Errorf("cluster: merged leader list %v is not sorted", out.Leaders)
-	}
-	// The in-process rule: every node converged to the largest real id. A
-	// forged flood value above it can win a shard's agreement, not this.
-	out.Explicit = out.Explicit && agreeID == maxID
-	out.Success = len(out.Leaders) == 1
-	if res.Engine != nil {
-		res.Engine.PerNodeMessages = res.PerNodeMessages
-		res.Engine.Rounds = out.Rounds
-		res.Engine.Metrics = out.Metrics
+	eres.Rounds = m.FinalRound
+	res.Engine = eres
+	if ep, ok := p.(algo.ElectionProtocol); ok {
+		out, err := ep.Finish(eres)
+		if err != nil {
+			return nil, err
+		}
+		res.Outcome = *out
+	} else {
+		res.Outcome = algo.Outcome{Algorithm: p.Name(), LeaderRound: -1, Rounds: eres.Rounds, Metrics: eres.Metrics}
 	}
 	return res, nil
 }

@@ -189,7 +189,7 @@ func TestDeterministicReplay(t *testing.T) {
 type coreElection struct{}
 
 func (coreElection) Name() string    { return "core" }
-func (coreElection) Slots() []string { return []string{"leader", "contender", "id"} }
+func (coreElection) Slots() []string { return []string{"leader", "contender", "id", "leader_round"} }
 func (coreElection) Init(g *graph.Graph) (engine.Instance, error) {
 	return Build(g, DefaultConfig())
 }
@@ -200,13 +200,13 @@ func (coreElection) Init(g *graph.Graph) (engine.Instance, error) {
 func TestConcurrentEngineEquivalence(t *testing.T) {
 	g := expander(t, 48, 4, 22)
 	const trials = 4
-	par := make([]*Result, trials)
+	par := make([]*engine.Result, trials)
 	_, err := engine.RunMany(coreElection{}, g, engine.BatchOptions{
 		Base:    engine.Options{Seed: 44},
 		Trials:  trials,
 		Workers: 2,
-	}, func(i int, inst engine.Instance, res *engine.Result) error {
-		par[i] = inst.(*Instance).Collect(res.Metrics)
+	}, func(i int, res *engine.Result) error {
+		par[i] = res
 		return nil
 	})
 	if err != nil {
@@ -221,8 +221,16 @@ func TestConcurrentEngineEquivalence(t *testing.T) {
 			t.Fatalf("trial %d diverges: %d/%d vs %d/%d msgs/rounds",
 				i, seq.Metrics.Messages, seq.Rounds, p.Metrics.Messages, p.Rounds)
 		}
-		if fmt.Sprint(seq.Leaders, seq.LeaderIDs) != fmt.Sprint(p.Leaders, p.LeaderIDs) {
-			t.Fatalf("trial %d leaders diverge: %v vs %v", i, seq.Leaders, p.Leaders)
+		var leaders []int
+		var ids []protocol.ID
+		for v, o := range p.Outputs {
+			if o[0] == 1 {
+				leaders = append(leaders, v)
+				ids = append(ids, protocol.ID(o[2]))
+			}
+		}
+		if fmt.Sprint(seq.Leaders, seq.LeaderIDs) != fmt.Sprint(leaders, ids) {
+			t.Fatalf("trial %d leaders diverge: %v vs %v", i, seq.Leaders, leaders)
 		}
 	}
 }

@@ -62,8 +62,9 @@ type node struct {
 var _ sim.Process = (*node)(nil)
 
 // Output is the node's election decision vector [leader(0/1),
-// contender(0/1), drawn id (0 when not a contender)] — the engine-level
-// view of the state Collect folds into the richer native Result.
+// contender(0/1), drawn id (0 when not a contender), the round it elected
+// itself (-1 when not a leader)] — the engine-level view of the state
+// Collect folds into the richer native Result.
 func (nd *node) Output() []int64 {
 	leader, contender := int64(0), int64(0)
 	if nd.leader {
@@ -72,7 +73,7 @@ func (nd *node) Output() []int64 {
 	if nd.contender {
 		contender = 1
 	}
-	return []int64{leader, contender, int64(nd.id)}
+	return []int64{leader, contender, int64(nd.id), int64(nd.leadRound)}
 }
 
 // newNode builds node idx, whose outbox draws from pool, the message pool

@@ -60,12 +60,12 @@ type BatchResult struct {
 
 // RunMany executes opts.Trials independent runs of p on g across a sharded
 // worker pool, the one batch loop of the repo. fold, when non-nil, receives
-// trial i's instance and result once the trial has run (internal/algo
-// tallies election outcomes through it). It is called from the shard
-// goroutine that ran the trial, so it must only write state indexed by i;
-// an error aborts the batch. Everything except the wall-clock fields of
-// the result is deterministic in (p, g, opts.Base.Seed, opts.Trials).
-func RunMany(p Protocol, g *graph.Graph, opts BatchOptions, fold func(i int, inst Instance, res *Result) error) (*BatchResult, error) {
+// trial i's result once the trial has run (internal/algo tallies election
+// outcomes through it). It is called from the shard goroutine that ran the
+// trial, so it must only write state indexed by i; an error aborts the
+// batch. Everything except the wall-clock fields of the result is
+// deterministic in (p, g, opts.Base.Seed, opts.Trials).
+func RunMany(p Protocol, g *graph.Graph, opts BatchOptions, fold func(i int, res *Result) error) (*BatchResult, error) {
 	if opts.Trials <= 0 {
 		return &BatchResult{Protocol: p.Name()}, nil
 	}
@@ -83,16 +83,12 @@ func RunMany(p Protocol, g *graph.Graph, opts BatchOptions, fold func(i int, ins
 		if opts.NewFault != nil {
 			o.Fault = opts.NewFault(i)
 		}
-		inst, err := p.Init(g)
-		if err != nil {
-			return sim.Metrics{}, err
-		}
-		res, err := RunInstance(p, g, inst, o)
+		res, err := Run(p, g, o)
 		if err != nil {
 			return sim.Metrics{}, err
 		}
 		if fold != nil {
-			if err := fold(i, inst, res); err != nil {
+			if err := fold(i, res); err != nil {
 				return sim.Metrics{}, err
 			}
 		}

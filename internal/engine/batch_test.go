@@ -25,11 +25,11 @@ func TestRunManyFoldsEachTrialOnce(t *testing.T) {
 	opts := engine.BatchOptions{Base: engine.Options{Seed: 3}, Trials: trials, Workers: 2, CollectTrials: true}
 	calls := make([]int, trials)
 	msgs := make([]int64, trials)
-	batch, err := engine.RunMany(p, g, opts, func(i int, inst engine.Instance, res *engine.Result) error {
+	batch, err := engine.RunMany(p, g, opts, func(i int, res *engine.Result) error {
 		calls[i]++
 		msgs[i] = res.Metrics.Messages
-		if inst == nil || res.Protocol != engine.BFSTree {
-			return errors.New("fold got no instance or a foreign result")
+		if res.Protocol != engine.BFSTree {
+			return errors.New("fold got a foreign result")
 		}
 		return nil
 	})
@@ -45,7 +45,7 @@ func TestRunManyFoldsEachTrialOnce(t *testing.T) {
 		t.Fatalf("fold saw messages %v, the batch collected %v", msgs, batch.TrialMessages)
 	}
 	stop := errors.New("stop")
-	if _, err := engine.RunMany(p, g, opts, func(int, engine.Instance, *engine.Result) error { return stop }); !errors.Is(err, stop) {
+	if _, err := engine.RunMany(p, g, opts, func(int, *engine.Result) error { return stop }); !errors.Is(err, stop) {
 		t.Fatalf("fold error not returned: %v", err)
 	}
 }

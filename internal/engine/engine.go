@@ -38,8 +38,8 @@ type Node interface {
 
 // Instance is one run's worth of per-node machines plus the run limits the
 // protocol derived from the graph. Instances are single-use: Run consumes
-// one, and protocol adapters may type-assert it afterwards to read richer
-// native state (internal/algo does, to build election outcomes).
+// one and reports what it decided only through the nodes' Output vectors,
+// which is all internal/algo folds election outcomes from.
 type Instance interface {
 	// Node returns the machine for node v.
 	Node(v int) Node
@@ -129,7 +129,7 @@ type Result struct {
 }
 
 // TraceSummarizer is an optional Instance extension: at end of run,
-// RunInstance emits the returned (name, args) as one instant event in
+// Simulate emits the returned (name, args) as one instant event in
 // category "engine" when a tracer is attached. Implementations must keep
 // the summary observational — reading it cannot change protocol behavior.
 type TraceSummarizer interface {
@@ -158,22 +158,12 @@ func (t teeObserver) OnSend(round, from, fromPort, to, toPort int, m sim.Message
 	t.b.OnSend(round, from, fromPort, to, toPort, m)
 }
 
-// Run executes one run of p on g: Init plus RunInstance.
+// Run executes one run of p on g: Init, Simulate, and the output vector
+// of every hosted node.
 func Run(p Protocol, g *graph.Graph, opts Options) (*Result, error) {
 	inst, err := p.Init(g)
 	if err != nil {
 		return nil, err
-	}
-	return RunInstance(p, g, inst, opts)
-}
-
-// RunInstance executes an already-initialized instance of p on g and
-// collects every hosted node's output vector. Callers that need the
-// instance's native state afterwards (algo.Run, which folds it into an
-// election outcome) initialize it themselves and keep the reference.
-func RunInstance(p Protocol, g *graph.Graph, inst Instance, opts Options) (*Result, error) {
-	if inst == nil {
-		return nil, fmt.Errorf("engine: %s: nil instance", p.Name())
 	}
 	metrics, counts, err := Simulate(g, inst, opts)
 	if err != nil {
@@ -199,9 +189,9 @@ func RunInstance(p Protocol, g *graph.Graph, inst Instance, opts Options) (*Resu
 
 // Simulate runs inst's node machines on g under opts and returns the run's
 // metrics, plus per-node send counts when opts.CountSends is set. It is
-// the one runner of a sim.Config: RunInstance, core.Run and baseline.Run
-// all go through it, and callers that fold the instance's native state
-// themselves skip RunInstance's output vectors.
+// the one runner of a sim.Config: Run, core.Run and baseline.Run all go
+// through it, and the latter two fold their instance's native state
+// instead of Run's output vectors.
 func Simulate(g *graph.Graph, inst Instance, opts Options) (sim.Metrics, []int64, error) {
 	if g == nil {
 		return sim.Metrics{}, nil, errors.New("engine: graph is required")
